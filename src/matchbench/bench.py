@@ -53,6 +53,8 @@ class BenchConfig:
             raise ValueError("lengths must be strictly increasing")
         if not self.lengths:
             raise ValueError("lengths must be non-empty")
+        if self.lengths[0] < 1:
+            raise ValueError("pattern lengths must be >= 1")
         if self.patterns_per_length < 1:
             raise ValueError("patterns_per_length must be >= 1")
         if self.metric not in METRICS:

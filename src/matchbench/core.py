@@ -23,6 +23,10 @@ class ApplicabilityError(ValueError):
         super().__init__(f"{algorithm} is not applicable at m={m}: requires {bound}")
 
 
+_ALPHABET_HEAD = 4096
+_ALL_BYTES = bytes(range(256))
+
+
 @dataclass(frozen=True)
 class Text:
     """Immutable haystack of raw byte values with a short label."""
@@ -40,8 +44,19 @@ class Text:
         return len(self.data)
 
     def alphabet_size(self) -> int:
-        """Number of distinct byte values present."""
-        return len(set(self.data))
+        """Number of distinct byte values present, exactly ``len(set(data))``.
+
+        Computed in C: one ``translate`` pass deletes the symbols of a 4 KiB
+        head, then each byte value the head lacks is looked up in the rest
+        (a ``memchr`` scan).  The worst case, a long rest lacking most byte
+        values, costs about 255 scans, on the order of ``len(set(data))``.
+        """
+        seen = bytes(set(self.data[:_ALPHABET_HEAD]))
+        rest = self.data.translate(None, seen)
+        if not rest:
+            return len(seen)
+        unseen = _ALL_BYTES.translate(None, seen)
+        return len(seen) + sum(unseen[i : i + 1] in rest for i in range(len(unseen)))
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,8 @@ def run_differential(cases: int, seed: int, algos=None, max_n: int = DEFAULT_MAX
     Deterministic for a fixed seed.  Collects up to stop_after mismatches
     before giving up on an algorithm.
     """
+    if cases < 1:
+        raise ValueError("cases must be >= 1")
     if algos is None:
         algos = REGISTRY
     if not algos:

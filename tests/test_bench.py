@@ -110,6 +110,8 @@ def test_bench_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(lengths=(2, 2))
     with pytest.raises(ValueError):
+        BenchConfig(lengths=(0, 4))
+    with pytest.raises(ValueError):
         BenchConfig(patterns_per_length=0)
     with pytest.raises(ValueError):
         BenchConfig(metric="cycles")

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,40 @@ def test_bench_parallel_rejected_in_time_mode(tmp_path, capsys):
                            "--patterns", "2", "--metric", "time", "--parallel")
     assert code == 2
     assert "reads" in err
+
+
+def test_bench_rejects_lengths_below_one(tmp_path, capsys):
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"abcd" * 100)
+    out = tmp_path / "empty.csv"
+    for lengths in ("0,-3", "-1", "0,4"):
+        code, _, err = run_cli(capsys, "bench", "--text", str(path), "--lengths", lengths,
+                               "--patterns", "2", "--metric", "reads", "--out", str(out))
+        assert code == 2
+        assert ">= 1" in err
+        assert not out.exists()
+
+
+def test_verify_rejects_no_cases(capsys):
+    for cases in ("0", "-5"):
+        code, out, err = run_cli(capsys, "verify", "--cases", cases)
+        assert code == 2
+        assert "cases" in err
+        assert out == ""
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"abcabc")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "matchbench", "search", "--pattern", "abc",
+                           "--text", str(path)], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0", "3"]
+    done = subprocess.run([sys.executable, "-m", "matchbench", "search", "--pattern", "zzz",
+                           "--text", str(path)], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
 
 
 def test_missing_text_file_exits_2(capsys):

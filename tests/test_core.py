@@ -22,6 +22,33 @@ def test_text_invariants():
         Text(b"abc", "")
 
 
+def _random_text(rng, alphabet: bytes, n: int) -> bytes:
+    table = bytes(alphabet[b % len(alphabet)] for b in range(256))
+    return rng.integers(0, 256, size=n, dtype=np.uint8).tobytes().translate(table)
+
+
+def test_alphabet_size_is_exact():
+    rng = np.random.default_rng(2010)
+    texts = []
+    for n in (0, 1, 4095, 4096, 4097, 10**4):
+        for sigma in range(1, 257):
+            alphabet = rng.permutation(256)[:sigma].astype(np.uint8).tobytes()
+            texts.append(_random_text(rng, alphabet, n))
+    every = bytes(range(256))
+    texts += [every, every[::-1] * 40, rng.permutation(256).astype(np.uint8).tobytes() * 17]
+    # symbols that first appear after the 4 KiB head
+    head = _random_text(rng, b"abcd", 4096)
+    texts += [head + b"e", head + every, head + _random_text(rng, every[100:], 5000),
+              head + b"a" * 9000 + b"\xff"]
+    # one new symbol per 4 KiB block
+    texts.append(b"".join(bytes([b]) * 4096 for b in range(256)))
+    texts.append(b"".join(_random_text(rng, every[: b + 1], 4096) for b in range(0, 256, 7)))
+    # a 4 KiB head of one symbol followed by another
+    texts += [b"a" * 4096 + b"b" * 10**4, b"\x00" * 4096 + b"\x01", b"\x00" * 4095 + b"\x01" * 3]
+    for data in texts:
+        assert Text(data).alphabet_size() == len(set(data)), (len(data), len(set(data)))
+
+
 def test_pattern_rejects_empty():
     assert len(Pattern(b"a")) == 1
     with pytest.raises(ValueError):

@@ -122,7 +122,19 @@ def test_select_applicable_falls_back_inside_gated_cells():
     fallback = select_applicable(64, 200)
     assert fallback.applicable(200)
     assert fallback.id == "TVSBS"  # the cell's alternate
-    assert select_applicable(256, 200).id == "SSEF"  # fallback chain
+    assert select_applicable(256, 200).id == "HOR"  # fallback
+
+
+def test_select_applicable_is_cell_entry_or_hor():
+    for sigma in range(1, 257):
+        for m in (*range(1, 71), 100, 200, 256, 257, 300, 1024):
+            classes = classify(sigma, m)
+            cell = DEFAULT_SELECTION_MAP.cell(classes.sigma_class, classes.m_class)
+            algo = select_applicable(sigma, m)
+            assert algo.applicable(m)
+            assert algo.id in (cell.algorithm, *cell.alternates, "HOR"), (sigma, m, algo.id)
+            if get_algorithm(cell.algorithm).applicable(m):
+                assert algo.id == cell.algorithm
 
 
 def test_applicable_algorithms():
