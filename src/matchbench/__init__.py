@@ -7,7 +7,7 @@ and best-map reporting, and an alphabet-size x pattern-length selection
 map for picking a searcher automatically.
 """
 
-from .automata import FactorOracle, build_factor_oracle, search_bom, search_ebom
+from .automata import FactorOracle, build_factor_oracle
 from .bench import (
     ALLOWED_SIGMAS,
     CORPUS_EXPECTATIONS,
@@ -20,28 +20,6 @@ from .bench import (
     sample_positions,
     standard_texts,
 )
-from .bitparallel import (
-    lbndm_filter_candidates,
-    search_bmh_sbndm,
-    search_bndm,
-    search_fsbndm,
-    search_lbndm,
-    search_sa,
-    search_sbndm,
-    search_sbndm_bmh,
-    search_sbndmq,
-    search_so,
-    state_word_count,
-)
-from .comparison import (
-    search_br,
-    search_fjs,
-    search_hashq,
-    search_hor,
-    search_qs,
-    search_ssef,
-    search_tvsbs,
-)
 from .core import (
     WORD,
     ApplicabilityError,
@@ -50,7 +28,6 @@ from .core import (
     Text,
     WordSpec,
     brute_force_search,
-    verify_equal,
 )
 from .differential import DifferentialReport, Mismatch, run_differential
 from .registry import (
@@ -66,7 +43,7 @@ from .registry import (
     select,
     select_applicable,
 )
-from .report import BestMap, parse_measurements_csv, render_best_map, render_table
+from .report import parse_measurements_csv, render_best_map, render_table
 
 __version__ = "0.1.0"
 
@@ -75,7 +52,6 @@ __all__ = [
     "ApplicabilityError",
     "AlgorithmDescriptor",
     "BenchConfig",
-    "BestMap",
     "CORPUS_EXPECTATIONS",
     "DEFAULT_SELECTION_MAP",
     "DifferentialReport",
@@ -97,7 +73,6 @@ __all__ = [
     "classify",
     "generate_rand_text",
     "get_algorithm",
-    "lbndm_filter_candidates",
     "load_corpus",
     "parse_measurements_csv",
     "render_best_map",
@@ -106,27 +81,7 @@ __all__ = [
     "run_differential",
     "sample_patterns",
     "sample_positions",
-    "search_bmh_sbndm",
-    "search_bndm",
-    "search_bom",
-    "search_br",
-    "search_ebom",
-    "search_fjs",
-    "search_fsbndm",
-    "search_hashq",
-    "search_hor",
-    "search_lbndm",
-    "search_qs",
-    "search_sa",
-    "search_sbndm",
-    "search_sbndm_bmh",
-    "search_sbndmq",
-    "search_so",
-    "search_ssef",
-    "search_tvsbs",
     "select",
     "select_applicable",
     "standard_texts",
-    "state_word_count",
-    "verify_equal",
 ]

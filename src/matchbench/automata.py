@@ -7,7 +7,7 @@ that slack is safe because full-window survival only gates a verification.
 
 from __future__ import annotations
 
-from .core import ApplicabilityError, as_haystack, as_needle, match_at
+from .core import ApplicabilityError, as_needle, match_at
 
 
 class FactorOracle:
@@ -139,11 +139,3 @@ def compile_ebom(p: bytes):
         return out
 
     return run
-
-
-def search_bom(pattern, text) -> list[int]:
-    return compile_bom(as_needle(pattern))(as_haystack(text))
-
-
-def search_ebom(pattern, text) -> list[int]:
-    return compile_ebom(as_needle(pattern))(as_haystack(text))

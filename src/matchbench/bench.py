@@ -14,7 +14,6 @@ import hashlib
 import statistics
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +31,6 @@ DEFAULT_LENGTHS = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 #: Full-scale random-buffer size (5 MiB).
 FULL_TEXT_SIZE = 5 * 2**20
-#: 1 MiB desk-scale size used by the tests.
-DESK_TEXT_SIZE = 2**20
 
 METRICS = ("time", "reads")
 
@@ -45,7 +42,6 @@ class BenchConfig:
     seed: int = 1
     metric: str = "time"
     text_size: int = FULL_TEXT_SIZE
-    warmup: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(self.lengths))
@@ -174,8 +170,7 @@ def _measure_cell(cfg: BenchConfig, text: Text, sigma: int, algo: AlgorithmDescr
         hay = text.data
         for pat in patterns:
             run = algo.compile(pat.data)
-            if cfg.warmup:
-                run(hay)
+            run(hay)
             t0 = time.perf_counter_ns()
             res = run(hay)
             t1 = time.perf_counter_ns()
@@ -203,23 +198,19 @@ def _measure_cell(cfg: BenchConfig, text: Text, sigma: int, algo: AlgorithmDescr
     )
 
 
-def run_benchmark(cfg: BenchConfig, texts, algos=None, parallel: bool = False) -> list[Measurement]:
+def run_benchmark(cfg: BenchConfig, texts, algos=None) -> list[Measurement]:
     """One Measurement per (text, algorithm, m) cell where the algorithm is
     applicable at m and m fits the text; other cells are omitted.
 
     The same extracted pattern set is shared by every algorithm of a
-    (text, m) cell.  parallel=True runs cells on a thread pool and is only
-    allowed in reads mode, which keeps time measurements free of
-    concurrent load.
+    (text, m) cell.
     """
     if algos is None:
         algos = REGISTRY
     if not texts or not algos:
         raise ValueError("need at least one text and one algorithm")
-    if parallel and cfg.metric != "reads":
-        raise ValueError("parallel runs are only allowed in reads mode")
 
-    cells = []
+    out = []
     pattern_cache: dict[tuple[str, int], list[Pattern]] = {}
     for text in texts:
         sigma = text.alphabet_size()
@@ -232,9 +223,5 @@ def run_benchmark(cfg: BenchConfig, texts, algos=None, parallel: bool = False) -
                     pattern_cache[key] = sample_patterns(
                         text, m, cfg.patterns_per_length, derive_seed(cfg.seed, text.id, m)
                     )
-                cells.append((text, sigma, algo, m, pattern_cache[key]))
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(lambda c: _measure_cell(cfg, *c), cells))
-    return [_measure_cell(cfg, *cell) for cell in cells]
+                out.append(_measure_cell(cfg, text, sigma, algo, m, pattern_cache[key]))
+    return out

@@ -16,11 +16,6 @@ from .comparison import _horspool_table, kmp_failure
 from .core import WORD, ApplicabilityError, WordSpec, as_haystack, as_needle, match_at
 
 
-def state_word_count(m: int, word: WordSpec = WORD) -> int:
-    """Machine words needed for an m-bit prefix-automaton state."""
-    return -(-m // word.w)
-
-
 def forward_masks(p: bytes) -> list[int]:
     """bit j of table[c] set iff p[j] == c."""
     tbl = [0] * 256
@@ -270,12 +265,14 @@ def _superimposed_masks(p: bytes, w: int) -> tuple[list[int], int, int]:
     return B, ell, k
 
 
-def _lbndm_scan(B: list[int], ell: int, k: int, hay):
-    # simplified-BNDM filter over the text subsampled at stride k; yields
-    # the text alignment of every surviving reduced window
+def _lbndm_scan(B: list[int], ell: int, k: int, m: int, hay):
+    # simplified-BNDM filter over the text subsampled at stride k; a
+    # surviving reduced window at text offset base covers the candidate
+    # starts (base-k, base], yielded as [lo, hi] clipped to the text
     n = len(hay)
-    if n == 0:
+    if m > n:
         return
+    hi_start = n - m
     end_red = (n - 1) // k + 1 - ell
     r = 0
     while r <= end_red:
@@ -290,7 +287,9 @@ def _lbndm_scan(B: list[int], ell: int, k: int, hay):
             if D == 0:
                 break
         if D:
-            yield r * k
+            base = r * k
+            lo = base - k + 1
+            yield (lo if lo > 0 else 0), (base if base <= hi_start else hi_start)
             r += 1
         else:
             r += j + 1
@@ -307,17 +306,8 @@ def compile_lbndm(p: bytes, word: WordSpec = WORD):
     B, ell, k = _superimposed_masks(p, word.w)
 
     def run(hay) -> list[int]:
-        n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
-        hi_start = n - m
-        for base in _lbndm_scan(B, ell, k, hay):
-            # a hit at base covers candidate starts (base-k, base]
-            lo = base - k + 1
-            if lo < 0:
-                lo = 0
-            hi = base if base <= hi_start else hi_start
+        for lo, hi in _lbndm_scan(B, ell, k, m, hay):
             for i in range(lo, hi + 1):
                 if match_at(hay, i, p):
                     out.append(i)
@@ -330,20 +320,8 @@ def lbndm_filter_candidates(pattern, text, word: WordSpec = WORD) -> list[tuple[
     """Candidate start ranges [lo, hi] produced by the superimposition
     filter, before any verification.  Exposed for soundness checks."""
     p = as_needle(pattern)
-    hay = as_haystack(text)
-    m = len(p)
-    n = len(hay)
-    if m > n:
-        return []
     B, ell, k = _superimposed_masks(p, word.w)
-    hi_start = n - m
-    ranges = []
-    for base in _lbndm_scan(B, ell, k, hay):
-        lo = max(base - k + 1, 0)
-        hi = min(base, hi_start)
-        if lo <= hi:
-            ranges.append((lo, hi))
-    return ranges
+    return [(lo, hi) for lo, hi in _lbndm_scan(B, ell, k, len(p), as_haystack(text)) if lo <= hi]
 
 
 def compile_sbndm_bmh(p: bytes, word: WordSpec = WORD):
@@ -420,39 +398,3 @@ def compile_bmh_sbndm(p: bytes, word: WordSpec = WORD):
         return out
 
     return run
-
-
-def search_so(pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_so(as_needle(pattern), word)(as_haystack(text))
-
-
-def search_sa(pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_sa(as_needle(pattern), word)(as_haystack(text))
-
-
-def search_bndm(pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_bndm(as_needle(pattern), word)(as_haystack(text))
-
-
-def search_sbndm(pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_sbndm(as_needle(pattern), word)(as_haystack(text))
-
-
-def search_sbndmq(q: int, pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_sbndmq(q, as_needle(pattern), word)(as_haystack(text))
-
-
-def search_fsbndm(pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_fsbndm(as_needle(pattern), word)(as_haystack(text))
-
-
-def search_lbndm(pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_lbndm(as_needle(pattern), word)(as_haystack(text))
-
-
-def search_sbndm_bmh(pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_sbndm_bmh(as_needle(pattern), word)(as_haystack(text))
-
-
-def search_bmh_sbndm(pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_bmh_sbndm(as_needle(pattern), word)(as_haystack(text))

@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--metric", choices=("time", "reads"), default="time")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--parallel", action="store_true", help="parallel cells (reads mode only)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="render a measurement CSV")
@@ -107,7 +106,10 @@ def cmd_bench(args) -> int:
     lengths = tuple(sorted({int(x) for x in args.lengths.split(",") if x.strip()}))
     cfg = BenchConfig(lengths=lengths, patterns_per_length=args.patterns,
                       seed=args.seed, metric=args.metric)
-    ms = run_benchmark(cfg, [text], algos, parallel=args.parallel)
+    ms = run_benchmark(cfg, [text], algos)
+    if not ms:
+        raise ValueError("no (algorithm, length) cell fits: every length exceeds the text"
+                         " or no listed algorithm is applicable at any length")
     meta = (
         f"# prng={PRNG_NAME} numpy={np.__version__} seed={args.seed}"
         f" patterns={args.patterns} metric={args.metric} text={text.id} n={len(text)}\n"

@@ -6,13 +6,13 @@ skips with KMP verification, HASHq shifts on hashed q-grams, and SSEF
 filters long patterns through per-block bit fingerprints.
 
 Each algorithm comes as a ``compile_*`` factory returning a searcher
-closure over the preprocessed tables (so benchmarks can time the search
-phase alone) plus a plain ``search_*`` convenience wrapper.
+closure over the preprocessed tables, so benchmarks can time the search
+phase alone.
 """
 
 from __future__ import annotations
 
-from .core import WORD, ApplicabilityError, WordSpec, as_haystack, as_needle, match_at
+from .core import WORD, ApplicabilityError, WordSpec, match_at
 
 
 def _horspool_table(p: bytes) -> list[int]:
@@ -350,31 +350,3 @@ def compile_ssef(p: bytes, word: WordSpec = WORD):
         return out
 
     return run
-
-
-def search_hor(pattern, text) -> list[int]:
-    return compile_hor(as_needle(pattern))(as_haystack(text))
-
-
-def search_qs(pattern, text) -> list[int]:
-    return compile_qs(as_needle(pattern))(as_haystack(text))
-
-
-def search_br(pattern, text) -> list[int]:
-    return compile_br(as_needle(pattern))(as_haystack(text))
-
-
-def search_tvsbs(pattern, text) -> list[int]:
-    return compile_tvsbs(as_needle(pattern))(as_haystack(text))
-
-
-def search_fjs(pattern, text) -> list[int]:
-    return compile_fjs(as_needle(pattern))(as_haystack(text))
-
-
-def search_hashq(q: int, pattern, text) -> list[int]:
-    return compile_hashq(q, as_needle(pattern))(as_haystack(text))
-
-
-def search_ssef(pattern, text, word: WordSpec = WORD) -> list[int]:
-    return compile_ssef(as_needle(pattern), word)(as_haystack(text))

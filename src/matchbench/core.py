@@ -175,7 +175,3 @@ def brute_force_search(pattern, text) -> list[int]:
             out.append(i)
     return out
 
-
-def verify_equal(a, b) -> bool:
-    """True iff two occurrence sequences are identical, order included."""
-    return list(a) == list(b)

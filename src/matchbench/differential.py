@@ -20,6 +20,8 @@ from .core import brute_force_search
 from .registry import REGISTRY, AlgorithmDescriptor
 
 DEFAULT_MAX_N = 4096
+# mismatches collected before the run stops
+_STOP_AFTER = 20
 _KINDS = ("extracted", "random", "mutated")
 
 
@@ -67,16 +69,16 @@ class DifferentialReport:
         return not self.mismatches
 
 
-def _make_case(algo: AlgorithmDescriptor, case_seed: int, max_n: int):
+def _make_case(algo: AlgorithmDescriptor, case_seed: int):
     rng = np.random.Generator(np.random.PCG64(case_seed))
     sigma = int(rng.choice(ALLOWED_SIGMAS))
     lo = algo.m_min
-    hi = algo.m_max if algo.m_max is not None else max_n
-    hi = min(hi, max_n)
+    hi = algo.m_max if algo.m_max is not None else DEFAULT_MAX_N
+    hi = min(hi, DEFAULT_MAX_N)
     # log-uniform m exercises both ends of the applicability range
     m = int(round(2 ** rng.uniform(math.log2(lo), math.log2(hi))))
     m = max(lo, min(m, hi))
-    n = int(rng.integers(m, max_n + 1))
+    n = int(rng.integers(m, DEFAULT_MAX_N + 1))
     text = rng.integers(0, sigma, size=n, dtype=np.uint8).tobytes()
     kind = _KINDS[int(rng.integers(0, 3))]
     if kind == "random":
@@ -92,12 +94,11 @@ def _make_case(algo: AlgorithmDescriptor, case_seed: int, max_n: int):
     return sigma, n, m, kind, pattern, text
 
 
-def run_differential(cases: int, seed: int, algos=None, max_n: int = DEFAULT_MAX_N,
-                     stop_after: int = 20) -> DifferentialReport:
+def run_differential(cases: int, seed: int, algos=None) -> DifferentialReport:
     """Run at least `cases` randomized cases spread over the algorithms.
 
-    Deterministic for a fixed seed.  Collects up to stop_after mismatches
-    before giving up on an algorithm.
+    Deterministic for a fixed seed.  Collects up to _STOP_AFTER mismatches
+    before giving up.
     """
     if cases < 1:
         raise ValueError("cases must be >= 1")
@@ -111,7 +112,7 @@ def run_differential(cases: int, seed: int, algos=None, max_n: int = DEFAULT_MAX
         ran = 0
         for i in range(per_algo):
             case_seed = derive_seed(seed, algo.id, i)
-            sigma, n, m, kind, pattern, text = _make_case(algo, case_seed, max_n)
+            sigma, n, m, kind, pattern, text = _make_case(algo, case_seed)
             expected = brute_force_search(pattern, text)
             got = algo.search(pattern, text)
             ran += 1
@@ -126,7 +127,7 @@ def run_differential(cases: int, seed: int, algos=None, max_n: int = DEFAULT_MAX
                     expected=tuple(expected),
                     got=tuple(got),
                 ))
-                if len(report.mismatches) >= stop_after:
+                if len(report.mismatches) >= _STOP_AFTER:
                     report.cases_per_algorithm[algo.id] = ran
                     return report
         report.cases_per_algorithm[algo.id] = ran

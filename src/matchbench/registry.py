@@ -21,8 +21,6 @@ COMPARISON = "comparison"
 AUTOMATA = "automata"
 BIT_PARALLEL = "bit-parallel"
 
-FAMILIES = (COMPARISON, AUTOMATA, BIT_PARALLEL)
-
 
 @dataclass(frozen=True)
 class AlgorithmDescriptor:
@@ -154,7 +152,7 @@ class MapCell:
 
 @dataclass(frozen=True)
 class SelectionMap:
-    """Total (sigma_class, m_class) -> algorithm table."""
+    """Total (sigma_class, m_class) -> algorithm table with provenance tags."""
 
     cells: dict[tuple[str, str], MapCell]
 
@@ -167,6 +165,19 @@ class SelectionMap:
             for mc in M_CLASSES:
                 cell = self.cells[(sc, mc)]
                 lines.append(f"{sc},{mc},{cell.algorithm},{cell.provenance}")
+        return "\n".join(lines) + "\n"
+
+    def to_markdown(self) -> str:
+        lines = [
+            "| sigma \\ m | " + " | ".join(M_CLASSES) + " |",
+            "|---|" + "---|" * len(M_CLASSES),
+        ]
+        for sc in SIGMA_CLASSES:
+            cells = []
+            for mc in M_CLASSES:
+                cell = self.cells[(sc, mc)]
+                cells.append(f"{cell.algorithm} [{cell.provenance}]")
+            lines.append(f"| {sc} | " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
 
 

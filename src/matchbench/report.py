@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 from .bench import Measurement
 from .registry import (
@@ -173,38 +172,7 @@ def parse_measurements_csv(content: str) -> list[Measurement]:
     return out
 
 
-@dataclass(frozen=True)
-class BestMap:
-    """Total 4x4 grid of winning algorithm ids with provenance tags."""
-
-    cells: dict[tuple[str, str], MapCell]
-
-    def cell(self, sigma_class: str, m_class: str) -> MapCell:
-        return self.cells[(sigma_class, m_class)]
-
-    def to_csv(self) -> str:
-        lines = ["sigma_class,m_class,algorithm,provenance"]
-        for sc in SIGMA_CLASSES:
-            for mc in M_CLASSES:
-                cell = self.cells[(sc, mc)]
-                lines.append(f"{sc},{mc},{cell.algorithm},{cell.provenance}")
-        return "\n".join(lines) + "\n"
-
-    def to_markdown(self) -> str:
-        lines = [
-            "| sigma \\ m | " + " | ".join(M_CLASSES) + " |",
-            "|---|" + "---|" * len(M_CLASSES),
-        ]
-        for sc in SIGMA_CLASSES:
-            cells = []
-            for mc in M_CLASSES:
-                cell = self.cells[(sc, mc)]
-                cells.append(f"{cell.algorithm} [{cell.provenance}]")
-            lines.append(f"| {sc} | " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-
-
-def render_best_map(measurements, fallback: SelectionMap = DEFAULT_SELECTION_MAP) -> BestMap:
+def render_best_map(measurements, fallback: SelectionMap = DEFAULT_SELECTION_MAP) -> SelectionMap:
     """Measured winner per cell where data exists, fallback map entry
     (with its paper-stated / derived-fill provenance) elsewhere.
 
@@ -230,4 +198,4 @@ def render_best_map(measurements, fallback: SelectionMap = DEFAULT_SELECTION_MAP
                 cells[(sc, mc)] = MapCell(winner, MEASURED)
             else:
                 cells[(sc, mc)] = fallback.cell(sc, mc)
-    return BestMap(cells)
+    return SelectionMap(cells)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from matchbench.core import brute_force_search
+from matchbench.core import WORD, brute_force_search
+from matchbench.registry import build_registry
 
 
 def naive_scan(p: bytes, t: bytes) -> list[int]:
@@ -56,6 +57,19 @@ def fuzz_cases(seed: int, count: int, m_lo: int, m_hi: int, *,
             b[j] = (b[j] + 1) % sigma
             p = bytes(b)
         yield p, t
+
+
+def searcher(algo_id: str, word=WORD):
+    """The registry's search entry point for one algorithm at a word width."""
+    return {a.id: a for a in build_registry(word)}[algo_id].search
+
+
+def search_id(value):
+    # parametrize ids: "SBNDM-BMH" prints as "search_sbndm_bmh", the id
+    # these tests have always had, so results compare across history
+    if isinstance(value, str):
+        return "search_" + value.lower().replace("-", "_")
+    return None
 
 
 def assert_matches_oracle(search_fn, cases) -> int:

@@ -6,12 +6,10 @@ from matchbench.automata import (
     build_factor_oracle,
     compile_bom,
     compile_ebom,
-    search_bom,
-    search_ebom,
 )
 from matchbench.core import ApplicabilityError, InstrumentedText, brute_force_search
 
-from conftest import assert_matches_oracle, fuzz_cases, rand_bytes
+from conftest import assert_matches_oracle, fuzz_cases, rand_bytes, searcher
 
 
 def test_oracle_single_char():
@@ -53,27 +51,28 @@ def test_oracle_external_transition_bound():
 
 
 def test_bom_trivial():
-    assert search_bom(b"aba", b"ababa") == [0, 2]
-    assert search_bom(b"abab", b"ab") == []  # pattern longer than text
+    assert searcher("BOM")(b"aba", b"ababa") == [0, 2]
+    assert searcher("BOM")(b"abab", b"ab") == []  # pattern longer than text
 
 
 def test_ebom_trivial():
-    assert search_ebom(b"ab", b"abab") == [0, 2]
+    assert searcher("EBOM")(b"ab", b"abab") == [0, 2]
     with pytest.raises(ApplicabilityError):
-        search_ebom(b"a", b"aaa")
+        searcher("EBOM")(b"a", b"aaa")
 
 
 def test_bom_fuzz():
-    assert_matches_oracle(search_bom, fuzz_cases(23, 500, 1, 1024, n_max=2048))
+    assert_matches_oracle(searcher("BOM"), fuzz_cases(23, 500, 1, 1024, n_max=2048))
 
 
 def test_ebom_fuzz():
-    assert_matches_oracle(search_ebom, fuzz_cases(24, 500, 2, 1024, n_max=2048))
+    assert_matches_oracle(searcher("EBOM"), fuzz_cases(24, 500, 2, 1024, n_max=2048))
 
 
 def test_bom_ebom_agree():
+    bom, ebom = searcher("BOM"), searcher("EBOM")
     for p, t in fuzz_cases(25, 300, 2, 48, n_max=1024):
-        assert search_bom(p, t) == search_ebom(p, t)
+        assert bom(p, t) == ebom(p, t)
 
 
 def test_ebom_reads_at_most_one_extra_per_window():

@@ -152,16 +152,6 @@ def test_run_benchmark_reads_deterministic():
     assert first == second
 
 
-def test_run_benchmark_parallel_reads_matches_serial():
-    text = generate_rand_text(8, 20_000, seed=19)
-    cfg = BenchConfig(lengths=(4, 8), patterns_per_length=2, seed=3, metric="reads")
-    serial = run_benchmark(cfg, [text])
-    parallel = run_benchmark(cfg, [text], parallel=True)
-    assert serial == parallel
-    with pytest.raises(ValueError):
-        run_benchmark(BenchConfig(metric="time"), [text], parallel=True)
-
-
 def test_derive_seed_stable():
     assert derive_seed(1, "rand2", 8) == derive_seed(1, "rand2", 8)
     assert derive_seed(1, "rand2", 8) != derive_seed(1, "rand2", 16)

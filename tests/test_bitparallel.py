@@ -5,37 +5,29 @@ from matchbench.bitparallel import (
     backward_masks,
     compile_sa,
     compile_so,
+    compile_sbndmq,
     forward_masks,
     lbndm_filter_candidates,
-    search_bmh_sbndm,
-    search_bndm,
-    search_fsbndm,
-    search_lbndm,
-    search_sa,
-    search_sbndm,
-    search_sbndm_bmh,
-    search_sbndmq,
-    search_so,
-    state_word_count,
 )
-from matchbench.core import WORD, ApplicabilityError, InstrumentedText, brute_force_search
+from matchbench.core import ApplicabilityError, InstrumentedText, brute_force_search
 
-from conftest import assert_matches_oracle, fuzz_cases, rand_bytes
+from conftest import assert_matches_oracle, fuzz_cases, rand_bytes, search_id, searcher
 
 
 def test_so_trivial():
-    assert search_so(b"ab", b"abab") == [0, 2]
-    assert search_sa(b"ab", b"abab") == [0, 2]
+    assert searcher("SO")(b"ab", b"abab") == [0, 2]
+    assert searcher("SA")(b"ab", b"abab") == [0, 2]
 
 
-@pytest.mark.parametrize("search_fn", [search_so, search_sa])
-def test_so_sa_multiword(search_fn):
+@pytest.mark.parametrize("algo_id", ["SO", "SA"], ids=search_id)
+def test_so_sa_multiword(algo_id):
     # m=100 > w exercises the multiword state path
-    assert_matches_oracle(search_fn, fuzz_cases(31, 200, 100, 100, n_max=1024))
+    assert_matches_oracle(searcher(algo_id), fuzz_cases(31, 200, 100, 100, n_max=1024))
 
 
-@pytest.mark.parametrize("search_fn", [search_so, search_sa])
-def test_so_sa_one_pass_reads(search_fn):
+@pytest.mark.parametrize("algo_id", ["SO", "SA"], ids=search_id)
+def test_so_sa_one_pass_reads(algo_id):
+    search_fn = searcher(algo_id)
     rng = np.random.default_rng(32)
     for _ in range(50):
         sigma = int(rng.choice([2, 64]))
@@ -44,12 +36,6 @@ def test_so_sa_one_pass_reads(search_fn):
         it = InstrumentedText(rand_bytes(rng, sigma, n))
         search_fn(rand_bytes(rng, sigma, m), it)
         assert it.reads == n
-
-
-def test_state_word_count():
-    w = WORD.w
-    for m, expected in [(1, 1), (w, 1), (w + 1, 2), (2 * w, 2), (2 * w + 1, 3)]:
-        assert state_word_count(m) == expected
 
 
 @pytest.mark.parametrize("m", [1, 64, 65, 128, 129])
@@ -79,65 +65,63 @@ def test_mask_column_popcount():
 
 
 def test_bndm_trivial_and_bounds():
-    assert search_bndm(b"aba", b"ababa") == [0, 2]
+    assert searcher("BNDM")(b"aba", b"ababa") == [0, 2]
     with pytest.raises(ApplicabilityError):
-        search_bndm(b"x" * 65, b"whatever")
+        searcher("BNDM")(b"x" * 65, b"whatever")
 
 
 def test_bndm_fuzz():
-    assert_matches_oracle(search_bndm, fuzz_cases(35, 1000, 1, 64, n_max=1024))
+    assert_matches_oracle(searcher("BNDM"), fuzz_cases(35, 1000, 1, 64, n_max=1024))
 
 
 def test_sbndm_trivial_and_bounds():
-    assert search_sbndm(b"aba", b"ababa") == [0, 2]
+    assert searcher("SBNDM")(b"aba", b"ababa") == [0, 2]
     with pytest.raises(ApplicabilityError):
-        search_sbndm(b"x" * 65, b"whatever")
+        searcher("SBNDM")(b"x" * 65, b"whatever")
 
 
 def test_sbndm_fuzz():
-    assert_matches_oracle(search_sbndm, fuzz_cases(36, 1000, 1, 64, n_max=1024))
+    assert_matches_oracle(searcher("SBNDM"), fuzz_cases(36, 1000, 1, 64, n_max=1024))
 
 
 def test_sbndmq_trivial_and_bounds():
-    assert search_sbndmq(2, b"ab", b"abab") == [0, 2]
+    assert searcher("SBNDMq2")(b"ab", b"abab") == [0, 2]
     with pytest.raises(ApplicabilityError):
-        search_sbndmq(8, b"abcd", b"whatever")  # m=4 < q=8
+        searcher("SBNDMq8")(b"abcd", b"whatever")  # m=4 < q=8
     with pytest.raises(ApplicabilityError):
-        search_sbndmq(2, b"x" * 65, b"whatever")
+        searcher("SBNDMq2")(b"x" * 65, b"whatever")
     with pytest.raises(ValueError):
-        search_sbndmq(3, b"abc", b"whatever")
+        compile_sbndmq(3, b"abc")
 
 
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
 def test_sbndmq_fuzz(q):
-    assert_matches_oracle(
-        lambda p, t: search_sbndmq(q, p, t),
-        fuzz_cases(37 + q, 1000, q, 64, n_max=1024),
-    )
+    assert_matches_oracle(searcher(f"SBNDMq{q}"), fuzz_cases(37 + q, 1000, q, 64, n_max=1024))
 
 
 def test_fsbndm_trivial_and_bounds():
-    assert search_fsbndm(b"ab", b"abba") == [0]
-    assert search_fsbndm(b"x" * 63, b"x" * 100) == list(range(38))
+    assert searcher("FSBNDM")(b"ab", b"abba") == [0]
+    assert searcher("FSBNDM")(b"x" * 63, b"x" * 100) == list(range(38))
     with pytest.raises(ApplicabilityError):
-        search_fsbndm(b"x" * 64, b"whatever")  # m = w needs the lookahead bit
+        searcher("FSBNDM")(b"x" * 64, b"whatever")  # m = w needs the lookahead bit
 
 
 def test_fsbndm_fuzz():
-    assert_matches_oracle(search_fsbndm, fuzz_cases(38, 1000, 1, 63, n_max=1024))
+    assert_matches_oracle(searcher("FSBNDM"), fuzz_cases(38, 1000, 1, 63, n_max=1024))
 
 
 def test_lbndm_matches_bndm_for_short_patterns():
+    lbndm, bndm = searcher("LBNDM"), searcher("BNDM")
     for p, t in fuzz_cases(39, 100, 1, 64, n_max=512):
-        assert search_lbndm(p, t) == search_bndm(p, t)
+        assert lbndm(p, t) == bndm(p, t)
 
 
 def test_lbndm_long_fuzz():
-    assert_matches_oracle(search_lbndm, fuzz_cases(40, 500, 65, 1024, n_max=4096))
+    assert_matches_oracle(searcher("LBNDM"), fuzz_cases(40, 500, 65, 1024, n_max=4096))
 
 
 def test_lbndm_degenerate_periodic():
-    assert search_lbndm(b"a" * 200, b"a" * 1000) == list(range(801))
+    assert searcher("LBNDM")(b"a" * 200, b"a" * 1000) == list(range(801))
 
 
 def test_lbndm_filter_soundness():
@@ -150,16 +134,9 @@ def test_lbndm_filter_soundness():
             assert any(lo <= i <= hi for lo, hi in ranges), f"occurrence {i} not covered"
 
 
-def test_lbndm_alternate_word_width():
-    from matchbench.core import WordSpec
-
-    w32 = WordSpec(32)
-    for p, t in fuzz_cases(43, 100, 33, 200, n_max=1024):
-        assert search_lbndm(p, t, w32) == brute_force_search(p, t)
-
-
-@pytest.mark.parametrize("search_fn", [search_sbndm_bmh, search_bmh_sbndm])
-def test_hybrids(search_fn):
+@pytest.mark.parametrize("algo_id", ["SBNDM-BMH", "BMH-SBNDM"], ids=search_id)
+def test_hybrids(algo_id):
+    search_fn = searcher(algo_id)
     assert search_fn(b"ab", b"abab") == [0, 2]
     with pytest.raises(ApplicabilityError):
         search_fn(b"x" * 65, b"whatever")

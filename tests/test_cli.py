@@ -42,15 +42,6 @@ def test_gen_rejects_nonstandard_sigma(tmp_path, capsys):
     assert set(target.read_bytes()) <= {0, 1, 2}
 
 
-def test_bench_parallel_rejected_in_time_mode(tmp_path, capsys):
-    path = tmp_path / "t.bin"
-    path.write_bytes(b"abcd" * 100)
-    code, _, err = run_cli(capsys, "bench", "--text", str(path), "--lengths", "2",
-                           "--patterns", "2", "--metric", "time", "--parallel")
-    assert code == 2
-    assert "reads" in err
-
-
 def test_bench_rejects_lengths_below_one(tmp_path, capsys):
     path = tmp_path / "t.bin"
     path.write_bytes(b"abcd" * 100)
@@ -60,6 +51,21 @@ def test_bench_rejects_lengths_below_one(tmp_path, capsys):
                                "--patterns", "2", "--metric", "reads", "--out", str(out))
         assert code == 2
         assert ">= 1" in err
+        assert not out.exists()
+
+
+def test_bench_rejects_no_fitting_cell(tmp_path, capsys):
+    # every length beyond the text, or no listed algorithm applicable at
+    # any length: nothing would be measured
+    path = tmp_path / "t.bin"
+    path.write_bytes(bytes(range(100)))
+    out = tmp_path / "o.csv"
+    for argv in (("--lengths", "1024"), ("--algos", "BNDM", "--lengths", "65,80")):
+        code, stdout, err = run_cli(capsys, "bench", "--text", str(path), *argv,
+                                    "--patterns", "2", "--metric", "reads", "--out", str(out))
+        assert code == 2
+        assert "no (algorithm, length) cell fits" in err
+        assert stdout == ""
         assert not out.exists()
 
 
@@ -127,11 +133,12 @@ def test_bench_all_algos_to_stdout(small_text, capsys):
 
 
 def test_bench_inapplicable_only_gives_empty_data(small_text, capsys):
-    code, out, _ = run_cli(capsys, "bench", "--text", str(small_text), "--algos", "HASH8",
-                           "--lengths", "4", "--patterns", "2", "--metric", "reads")
-    assert code == 0
-    lines = [l for l in out.splitlines() if l and not l.startswith(("#", "text_id"))]
-    assert lines == []
+    # no data row means no CSV at all: the run is refused, not written empty
+    code, out, err = run_cli(capsys, "bench", "--text", str(small_text), "--algos", "HASH8",
+                             "--lengths", "4", "--patterns", "2", "--metric", "reads")
+    assert code == 2
+    assert out == ""
+    assert "no (algorithm, length) cell fits" in err
 
 
 def test_report_roundtrip_and_golden(tmp_path, capsys):

@@ -7,47 +7,40 @@ from matchbench.comparison import (
     _horspool_table,
     _sunday_table,
     compile_hashq,
-    search_br,
-    search_fjs,
-    search_hashq,
-    search_hor,
-    search_qs,
-    search_ssef,
-    search_tvsbs,
 )
 from matchbench.core import ApplicabilityError, InstrumentedText, brute_force_search
 
-from conftest import assert_matches_oracle, fuzz_cases, rand_bytes
+from conftest import assert_matches_oracle, fuzz_cases, rand_bytes, search_id, searcher
 
 
 def test_hor_trivial():
-    assert search_hor(b"aba", b"ababa") == [0, 2]
-    assert search_hor(b"zz", b"abab") == []
+    assert searcher("HOR")(b"aba", b"ababa") == [0, 2]
+    assert searcher("HOR")(b"zz", b"abab") == []
 
 
 def test_qs_trivial():
-    assert search_qs(b"aba", b"ababa") == [0, 2]
-    assert search_qs(b"zz", b"abab") == []
+    assert searcher("QS")(b"aba", b"ababa") == [0, 2]
+    assert searcher("QS")(b"zz", b"abab") == []
 
 
 def test_br_trivial():
-    assert search_br(b"ab", b"abab") == [0, 2]
-    assert search_br(b"abcab", b"abc") == []  # m > n
+    assert searcher("BR")(b"ab", b"abab") == [0, 2]
+    assert searcher("BR")(b"abcab", b"abc") == []  # m > n
 
 
 def test_tvsbs_trivial():
-    assert search_tvsbs(b"abba", b"abba") == [0]
-    assert search_tvsbs(b"aa", b"bbbb") == []
+    assert searcher("TVSBS")(b"abba", b"abba") == [0]
+    assert searcher("TVSBS")(b"aa", b"bbbb") == []
 
 
 def test_fjs_trivial():
-    assert search_fjs(b"aaa", b"aaaaa") == [0, 1, 2]
-    assert search_fjs(b"ab", b"ba") == []
+    assert searcher("FJS")(b"aaa", b"aaaaa") == [0, 1, 2]
+    assert searcher("FJS")(b"ab", b"ba") == []
 
 
-@pytest.mark.parametrize("search_fn", [search_hor, search_qs, search_br, search_tvsbs, search_fjs])
-def test_fuzz_against_oracle(search_fn):
-    ran = assert_matches_oracle(search_fn, fuzz_cases(11, 500, 1, 64, n_max=2048))
+@pytest.mark.parametrize("algo_id", ["HOR", "QS", "BR", "TVSBS", "FJS"], ids=search_id)
+def test_fuzz_against_oracle(algo_id):
+    ran = assert_matches_oracle(searcher(algo_id), fuzz_cases(11, 500, 1, 64, n_max=2048))
     assert ran == 500
 
 
@@ -58,28 +51,25 @@ def test_fjs_periodic_patterns():
         p = b"ab" * k
         n = int(rng.integers(len(p), 600))
         t = rand_bytes(rng, 2, n).replace(b"\x00", b"a").replace(b"\x01", b"b")
-        assert search_fjs(p, t) == brute_force_search(p, t)
+        assert searcher("FJS")(p, t) == brute_force_search(p, t)
 
 
 def test_hashq_trivial():
-    assert search_hashq(3, b"abc", b"aabcc") == [1]
+    assert searcher("HASH3")(b"abc", b"aabcc") == [1]
 
 
 def test_hashq_applicability():
     with pytest.raises(ApplicabilityError):
-        search_hashq(5, b"abcd", b"whatever")  # m=4 < q=5
+        searcher("HASH5")(b"abcd", b"whatever")  # m=4 < q=5
     with pytest.raises(ApplicabilityError):
-        search_hashq(8, b"abcdefg", b"whatever")
+        searcher("HASH8")(b"abcdefg", b"whatever")
     with pytest.raises(ValueError):
-        search_hashq(4, b"abcd", b"whatever")  # q not in {3,5,8}
+        compile_hashq(4, b"abcd")  # q not in {3,5,8}
 
 
 @pytest.mark.parametrize("q", [3, 5, 8])
 def test_hashq_fuzz(q):
-    assert_matches_oracle(
-        lambda p, t: search_hashq(q, p, t),
-        fuzz_cases(100 + q, 500, q, 256, n_max=1024),
-    )
+    assert_matches_oracle(searcher(f"HASH{q}"), fuzz_cases(100 + q, 500, q, 256, n_max=1024))
 
 
 def test_hashq_reads_only_sampled_grams():
@@ -111,37 +101,39 @@ def test_hashq_reads_only_sampled_grams():
 
 
 def test_ssef_degenerate_periodic():
-    assert search_ssef(b"\x00" * 32, b"\x00" * 1024) == list(range(993))
+    assert searcher("SSEF")(b"\x00" * 32, b"\x00" * 1024) == list(range(993))
 
 
 def test_ssef_applicability():
     with pytest.raises(ApplicabilityError):
-        search_ssef(b"x" * 16, b"whatever")
+        searcher("SSEF")(b"x" * 16, b"whatever")
     with pytest.raises(ApplicabilityError):
-        search_ssef(b"x" * 31, b"whatever")
+        searcher("SSEF")(b"x" * 31, b"whatever")
 
 
 def test_ssef_fuzz():
     assert_matches_oracle(
-        search_ssef,
+        searcher("SSEF"),
         fuzz_cases(13, 500, 32, 1024, sigmas=(2, 4, 64), n_max=4096),
     )
 
 
 @pytest.mark.parametrize(
-    "search_fn,min_m",
+    "algo_id,min_m",
     [
-        (search_hor, 1),
-        (search_qs, 1),
-        (search_br, 1),
-        (search_tvsbs, 1),
-        (search_fjs, 1),
-        (lambda p, t: search_hashq(3, p, t), 3),
-        (search_ssef, 32),
+        ("HOR", 1),
+        ("QS", 1),
+        ("BR", 1),
+        ("TVSBS", 1),
+        ("FJS", 1),
+        pytest.param("HASH3", 3, id="<lambda>-3"),  # keeps its pre-registry test id
+        ("SSEF", 32),
     ],
+    ids=search_id,
 )
-def test_planted_occurrence_never_skipped(search_fn, min_m):
+def test_planted_occurrence_never_skipped(algo_id, min_m):
     # shift safety: a pattern planted at a random position is always found
+    search = searcher(algo_id)
     rng = np.random.default_rng(14)
     for _ in range(200):
         sigma = int(rng.choice([2, 4, 64]))
@@ -150,7 +142,7 @@ def test_planted_occurrence_never_skipped(search_fn, min_m):
         t = rand_bytes(rng, sigma, n)
         i = int(rng.integers(0, n - m + 1))
         p = t[i : i + m]
-        assert i in search_fn(p, t)
+        assert i in search(p, t)
 
 
 def test_shift_table_bounds():
@@ -172,5 +164,5 @@ def test_hor_sublinear_reads_on_rand64(rand64_1mib):
         i = int(rng.integers(0, n - m + 1))
         p = text.data[i : i + m]
         it = InstrumentedText(text)
-        search_hor(p, it)
+        searcher("HOR")(p, it)
         assert it.reads < 0.5 * n

@@ -7,7 +7,6 @@ from matchbench.core import (
     Text,
     WordSpec,
     brute_force_search,
-    verify_equal,
 )
 
 from conftest import count_occurrences, naive_scan, rand_bytes
@@ -88,12 +87,6 @@ def test_brute_force_against_independent_scan():
         t = rand_bytes(rng, sigma, n)
         p = rand_bytes(rng, sigma, m)
         assert brute_force_search(p, t) == naive_scan(p, t)
-
-
-def test_verify_equal():
-    assert verify_equal([0, 2], [0, 2])
-    assert not verify_equal([0, 2], [2, 0])  # ordering is part of the contract
-    assert verify_equal([], [])
 
 
 def test_brute_force_read_bounds():

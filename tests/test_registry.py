@@ -16,6 +16,8 @@ from matchbench.registry import (
     select_applicable,
 )
 
+from conftest import fuzz_cases
+
 FAMILY_BY_ID = {
     # character comparison based
     "HOR": "comparison", "QS": "comparison", "BR": "comparison",
@@ -159,6 +161,16 @@ def test_build_registry_respects_word_width():
     with pytest.raises(ApplicabilityError):
         reg32["BNDM"].compile(b"x" * 33)
     assert reg32["LBNDM"].search(b"x" * 33, b"x" * 50) == list(range(18))
+
+
+@pytest.mark.parametrize("w", [32, 128])
+def test_every_descriptor_exact_at_other_word_widths(w):
+    # the word-gated bounds and the LBNDM superimposition factor follow w;
+    # unbounded algorithms are drawn up to m = 4w (LBNDM k = 1..4)
+    for algo in build_registry(WordSpec(w)):
+        m_hi = algo.m_max if algo.m_max is not None else 4 * w
+        for p, t in fuzz_cases(43 + w, 50, algo.m_min, m_hi, n_max=1024):
+            assert algo.search(p, t) == brute_force_search(p, t), (algo.id, len(p), len(t))
 
 
 def test_precompiled_searcher_shareable_across_threads():
