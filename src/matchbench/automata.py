@@ -7,7 +7,7 @@ that slack is safe because full-window survival only gates a verification.
 
 from __future__ import annotations
 
-from .core import ApplicabilityError, as_needle, match_at
+from .core import as_needle, match_at
 
 
 class FactorOracle:
@@ -65,8 +65,6 @@ def compile_bom(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -97,8 +95,6 @@ def compile_ebom(p: bytes):
     so the two-character entry costs at most one extra read per window.
     """
     m = len(p)
-    if m < 2:
-        raise ApplicabilityError("EBOM", m, "m >= 2")
     trans = FactorOracle(p[::-1]).transitions
     init = trans[0]
     ft: list[int | None] = [None] * 65536
@@ -113,8 +109,6 @@ def compile_ebom(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:

@@ -5,15 +5,16 @@ is the ceil(m/w)-machine-word state the word-level algorithms maintain;
 carry propagation between words happens inside the arbitrary-precision
 arithmetic, so the per-character cost still scales with ceil(m/w).
 
-The BNDM family is gated at m <= w (m <= w-1 for FSBNDM's lookahead bit):
-outside those bounds a typed ApplicabilityError is raised rather than
-falling back silently.
+The ``compile_*`` factories assume the bounds of their registry rows
+(the BNDM family m <= w, FSBNDM m <= w-1 for its lookahead bit, SBNDMq
+m >= q) and are reached through those descriptors, which check them.
+Only LBNDM and SSEF take the word width, because it shapes their tables.
 """
 
 from __future__ import annotations
 
 from .comparison import _horspool_table, kmp_failure
-from .core import WORD, ApplicabilityError, WordSpec, as_haystack, as_needle, match_at
+from .core import WORD, WordSpec, as_haystack, as_needle, match_at
 
 
 def forward_masks(p: bytes) -> list[int]:
@@ -33,7 +34,7 @@ def backward_masks(p: bytes) -> list[int]:
     return tbl
 
 
-def compile_so(p: bytes, word: WordSpec = WORD):
+def compile_so(p: bytes):
     """Shift-Or: one state update per text character, no early exit.
 
     Works for any m; for m > w the state simply spans ceil(m/w) words.
@@ -58,7 +59,7 @@ def compile_so(p: bytes, word: WordSpec = WORD):
     return run
 
 
-def compile_sa(p: bytes, word: WordSpec = WORD):
+def compile_sa(p: bytes):
     """Shift-And: dual of Shift-Or with the complemented convention."""
     m = len(p)
     B = forward_masks(p)
@@ -79,12 +80,10 @@ def compile_sa(p: bytes, word: WordSpec = WORD):
     return run
 
 
-def compile_bndm(p: bytes, word: WordSpec = WORD):
+def compile_bndm(p: bytes):
     """BNDM: backward scan of the nondeterministic suffix automaton of the
     reversed pattern; shift = window start of the last recognized prefix."""
     m = len(p)
-    if m > word.w:
-        raise ApplicabilityError("BNDM", m, f"m <= w ({word.w})")
     B = backward_masks(p)
     mask = (1 << m) - 1
     high = 1 << (m - 1)
@@ -92,8 +91,6 @@ def compile_bndm(p: bytes, word: WordSpec = WORD):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -129,8 +126,6 @@ def _sbndm_body(p: bytes, B: list[int]):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -154,28 +149,21 @@ def _sbndm_body(p: bytes, B: list[int]):
     return run
 
 
-def compile_sbndm(p: bytes, word: WordSpec = WORD):
+def compile_sbndm(p: bytes):
     """Simplified BNDM: no prefix bookkeeping; fixed period shift after a
     full-window survival."""
-    m = len(p)
-    if m > word.w:
-        raise ApplicabilityError("SBNDM", m, f"m <= w ({word.w})")
     return _sbndm_body(p, backward_masks(p))
 
 
 SBNDM_GRAM_LENGTHS = (2, 4, 6, 8)
 
 
-def compile_sbndmq(q: int, p: bytes, word: WordSpec = WORD):
+def compile_sbndmq(q: int, p: bytes):
     """SBNDMq: enter each window by AND-ing q shifted masks over the last
     q characters, then continue the plain backward loop."""
     if q not in SBNDM_GRAM_LENGTHS:
         raise ValueError(f"q must be one of {SBNDM_GRAM_LENGTHS}, got {q}")
     m = len(p)
-    if m < q:
-        raise ApplicabilityError(f"SBNDMq{q}", m, f"m >= {q}")
-    if m > word.w:
-        raise ApplicabilityError(f"SBNDMq{q}", m, f"m <= w ({word.w})")
     B = backward_masks(p)
     per = m - kmp_failure(p)[m]
     entry_shift = m - q + 1
@@ -183,8 +171,6 @@ def compile_sbndmq(q: int, p: bytes, word: WordSpec = WORD):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -210,15 +196,13 @@ def compile_sbndmq(q: int, p: bytes, word: WordSpec = WORD):
     return run
 
 
-def compile_fsbndm(p: bytes, word: WordSpec = WORD):
+def compile_fsbndm(p: bytes):
     """Forward SBNDM: the (m+1)-bit state carries one lookahead character.
 
     Equivalent to simplified BNDM over the pattern extended by a trailing
     wildcard, which is why every mask keeps bit 0 set.
     """
     m = len(p)
-    if m > word.w - 1:
-        raise ApplicabilityError("FSBNDM", m, f"m <= w-1 ({word.w - 1})")
     B = [(v << 1) | 1 for v in backward_masks(p)]
     per = m - kmp_failure(p)[m]
 
@@ -324,12 +308,10 @@ def lbndm_filter_candidates(pattern, text, word: WordSpec = WORD) -> list[tuple[
     return [(lo, hi) for lo, hi in _lbndm_scan(B, ell, k, len(p), as_haystack(text)) if lo <= hi]
 
 
-def compile_sbndm_bmh(p: bytes, word: WordSpec = WORD):
+def compile_sbndm_bmh(p: bytes):
     """SBNDM with Horspool shift: take the larger of the BNDM-test shift
     and the bad-character shift of the window's last character."""
     m = len(p)
-    if m > word.w:
-        raise ApplicabilityError("SBNDM-BMH", m, f"m <= w ({word.w})")
     B = backward_masks(p)
     hs = _horspool_table(p)
     per = m - kmp_failure(p)[m]
@@ -337,8 +319,6 @@ def compile_sbndm_bmh(p: bytes, word: WordSpec = WORD):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -365,21 +345,17 @@ def compile_sbndm_bmh(p: bytes, word: WordSpec = WORD):
     return run
 
 
-def compile_bmh_sbndm(p: bytes, word: WordSpec = WORD):
+def compile_bmh_sbndm(p: bytes):
     """Horspool with BNDM test: always advance by the bad-character shift;
     windows whose last character occurs in the pattern get the bit-parallel
     backward test."""
     m = len(p)
-    if m > word.w:
-        raise ApplicabilityError("BMH-SBNDM", m, f"m <= w ({word.w})")
     B = backward_masks(p)
     hs = _horspool_table(p)
 
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:

@@ -24,7 +24,7 @@ from .bench import (
     load_corpus,
     run_benchmark,
 )
-from .core import ApplicabilityError, Pattern
+from .core import Pattern
 from .differential import run_differential
 from .registry import REGISTRY, get_algorithm, select_applicable
 from .report import parse_measurements_csv, render_best_map, render_table
@@ -142,34 +142,17 @@ def cmd_search(args) -> int:
     if args.pattern_file:
         raw = Path(args.pattern_file).read_bytes()
     elif args.pattern is not None:
-        try:
-            raw = parse_pattern_bytes(args.pattern)
-        except UnicodeError as exc:
-            print(f"error: cannot parse pattern: {exc}", file=sys.stderr)
-            return 2
+        raw = parse_pattern_bytes(args.pattern)
     else:
-        print("error: one of --pattern / --pattern-file is required", file=sys.stderr)
-        return 2
-    try:
-        pattern = Pattern(raw)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("one of --pattern / --pattern-file is required")
+    pattern = Pattern(raw)
     text = load_corpus(args.text)
     if args.algo.strip().lower() == "auto":
         sigma = max(text.alphabet_size(), 1)
         algo = select_applicable(sigma, len(pattern))
     else:
-        try:
-            algo = get_algorithm(args.algo)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-    try:
-        positions = algo.search(pattern, text)
-    except ApplicabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        algo = get_algorithm(args.algo)
+    positions = algo.search(pattern, text)
     for i in positions:
         print(i)
     return 0 if positions else 1
@@ -194,6 +177,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:  # unknown algorithm id; str() would quote the message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

@@ -7,12 +7,14 @@ filters long patterns through per-block bit fingerprints.
 
 Each algorithm comes as a ``compile_*`` factory returning a searcher
 closure over the preprocessed tables, so benchmarks can time the search
-phase alone.
+phase alone.  The factories assume the pattern-length bounds of their
+registry rows (HASHq m >= q, SSEF m >= 32) and are reached through those
+descriptors, which check them.
 """
 
 from __future__ import annotations
 
-from .core import WORD, ApplicabilityError, WordSpec, match_at
+from .core import WORD, WordSpec, match_at
 
 
 def _horspool_table(p: bytes) -> list[int]:
@@ -76,8 +78,6 @@ def compile_hor(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -98,8 +98,6 @@ def compile_qs(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -122,8 +120,6 @@ def compile_br(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -152,8 +148,6 @@ def compile_tvsbs(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -186,8 +180,6 @@ def compile_fjs(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         end = n - m
         pos = 0
         j = 0
@@ -241,8 +233,6 @@ def compile_hashq(q: int, p: bytes):
     if q not in HASH_GRAM_LENGTHS:
         raise ValueError(f"q must be one of {HASH_GRAM_LENGTHS}, got {q}")
     m = len(p)
-    if m < q:
-        raise ApplicabilityError(f"HASH{q}", m, f"m >= {q}")
     default = m - q + 1
     tbl = [default] * 65536
     for i in range(q - 1, m - 1):  # q-grams ending before the last position
@@ -257,8 +247,6 @@ def compile_hashq(q: int, p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        if m > n:
-            return out
         pos = 0
         end = n - m
         while pos <= end:
@@ -314,8 +302,6 @@ def compile_ssef(p: bytes, word: WordSpec = WORD):
     those alignments are verified.
     """
     m = len(p)
-    if m < 32:
-        raise ApplicabilityError("SSEF", m, "m >= 32")
     width = _filter_width(m, word.w)
     stride = m - width + 1
     bit = _pick_filter_bit(p)

@@ -2,10 +2,14 @@
 
 The registry lists every implemented searcher with its family and
 applicability bounds (the "-" cells of the result tables fall out of
-those bounds).  The default selection map records the winning algorithm
-per (sigma class, m class) cell; cells without a stated winner carry the
-best entry of the matching result tables and are tagged "derived-fill"
-so reports can tell the two apart.
+those bounds).  A row is also the one place its bounds are checked: its
+``compile`` raises ApplicabilityError outside them, so the ``compile_*``
+factories assume them and are reached through descriptors.
+
+The default selection map records the winning algorithm per (sigma
+class, m class) cell; cells without a stated winner carry the best entry
+of the matching result tables and are tagged "derived-fill" so reports
+can tell the two apart.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import partial
 from typing import Callable
 
 from . import automata, bitparallel, comparison
-from .core import WORD, WordSpec, as_haystack, as_needle
+from .core import WORD, ApplicabilityError, WordSpec, as_haystack, as_needle
 
 COMPARISON = "comparison"
 AUTOMATA = "automata"
@@ -24,14 +28,28 @@ BIT_PARALLEL = "bit-parallel"
 
 @dataclass(frozen=True)
 class AlgorithmDescriptor:
-    """Identity, family and applicability bounds of one searcher."""
+    """Identity, family and applicability bounds of one searcher.
+
+    ``compile`` is gated by the bounds: outside them it raises
+    ApplicabilityError before the factory it wraps runs.
+    """
 
     id: str
     family: str
     m_min: int
     m_max: int | None  # inclusive; None = unbounded
-    needs_word: bool  # state must fit the machine word
     compile: Callable[[bytes], Callable] = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        factory = self.compile
+        bound = f"m >= {self.m_min}" if self.m_max is None else f"{self.m_min} <= m <= {self.m_max}"
+
+        def gated(p: bytes):
+            if not self.applicable(len(p)):
+                raise ApplicabilityError(self.id, len(p), bound)
+            return factory(p)
+
+        object.__setattr__(self, "compile", gated)
 
     def applicable(self, m: int) -> bool:
         if m < self.m_min:
@@ -48,29 +66,29 @@ def build_registry(word: WordSpec = WORD) -> tuple[AlgorithmDescriptor, ...]:
     w = word.w
     d = AlgorithmDescriptor
     return (
-        d("HOR", COMPARISON, 1, None, False, comparison.compile_hor),
-        d("QS", COMPARISON, 1, None, False, comparison.compile_qs),
-        d("BR", COMPARISON, 1, None, False, comparison.compile_br),
-        d("TVSBS", COMPARISON, 1, None, False, comparison.compile_tvsbs),
-        d("FJS", COMPARISON, 1, None, False, comparison.compile_fjs),
-        d("HASH3", COMPARISON, 3, None, False, partial(comparison.compile_hashq, 3)),
-        d("HASH5", COMPARISON, 5, None, False, partial(comparison.compile_hashq, 5)),
-        d("HASH8", COMPARISON, 8, None, False, partial(comparison.compile_hashq, 8)),
-        d("SSEF", COMPARISON, 32, None, False, partial(comparison.compile_ssef, word=word)),
-        d("BOM", AUTOMATA, 1, None, False, automata.compile_bom),
-        d("EBOM", AUTOMATA, 2, None, False, automata.compile_ebom),
-        d("SO", BIT_PARALLEL, 1, None, False, partial(bitparallel.compile_so, word=word)),
-        d("SA", BIT_PARALLEL, 1, None, False, partial(bitparallel.compile_sa, word=word)),
-        d("BNDM", BIT_PARALLEL, 1, w, True, partial(bitparallel.compile_bndm, word=word)),
-        d("SBNDM", BIT_PARALLEL, 1, w, True, partial(bitparallel.compile_sbndm, word=word)),
-        d("LBNDM", BIT_PARALLEL, 1, None, False, partial(bitparallel.compile_lbndm, word=word)),
-        d("SBNDM-BMH", BIT_PARALLEL, 1, w, True, partial(bitparallel.compile_sbndm_bmh, word=word)),
-        d("BMH-SBNDM", BIT_PARALLEL, 1, w, True, partial(bitparallel.compile_bmh_sbndm, word=word)),
-        d("FSBNDM", BIT_PARALLEL, 1, w - 1, True, partial(bitparallel.compile_fsbndm, word=word)),
-        d("SBNDMq2", BIT_PARALLEL, 2, w, True, partial(bitparallel.compile_sbndmq, 2, word=word)),
-        d("SBNDMq4", BIT_PARALLEL, 4, w, True, partial(bitparallel.compile_sbndmq, 4, word=word)),
-        d("SBNDMq6", BIT_PARALLEL, 6, w, True, partial(bitparallel.compile_sbndmq, 6, word=word)),
-        d("SBNDMq8", BIT_PARALLEL, 8, w, True, partial(bitparallel.compile_sbndmq, 8, word=word)),
+        d("HOR", COMPARISON, 1, None, comparison.compile_hor),
+        d("QS", COMPARISON, 1, None, comparison.compile_qs),
+        d("BR", COMPARISON, 1, None, comparison.compile_br),
+        d("TVSBS", COMPARISON, 1, None, comparison.compile_tvsbs),
+        d("FJS", COMPARISON, 1, None, comparison.compile_fjs),
+        d("HASH3", COMPARISON, 3, None, partial(comparison.compile_hashq, 3)),
+        d("HASH5", COMPARISON, 5, None, partial(comparison.compile_hashq, 5)),
+        d("HASH8", COMPARISON, 8, None, partial(comparison.compile_hashq, 8)),
+        d("SSEF", COMPARISON, 32, None, partial(comparison.compile_ssef, word=word)),
+        d("BOM", AUTOMATA, 1, None, automata.compile_bom),
+        d("EBOM", AUTOMATA, 2, None, automata.compile_ebom),
+        d("SO", BIT_PARALLEL, 1, None, bitparallel.compile_so),
+        d("SA", BIT_PARALLEL, 1, None, bitparallel.compile_sa),
+        d("BNDM", BIT_PARALLEL, 1, w, bitparallel.compile_bndm),
+        d("SBNDM", BIT_PARALLEL, 1, w, bitparallel.compile_sbndm),
+        d("LBNDM", BIT_PARALLEL, 1, None, partial(bitparallel.compile_lbndm, word=word)),
+        d("SBNDM-BMH", BIT_PARALLEL, 1, w, bitparallel.compile_sbndm_bmh),
+        d("BMH-SBNDM", BIT_PARALLEL, 1, w, bitparallel.compile_bmh_sbndm),
+        d("FSBNDM", BIT_PARALLEL, 1, w - 1, bitparallel.compile_fsbndm),
+        d("SBNDMq2", BIT_PARALLEL, 2, w, partial(bitparallel.compile_sbndmq, 2)),
+        d("SBNDMq4", BIT_PARALLEL, 4, w, partial(bitparallel.compile_sbndmq, 4)),
+        d("SBNDMq6", BIT_PARALLEL, 6, w, partial(bitparallel.compile_sbndmq, 6)),
+        d("SBNDMq8", BIT_PARALLEL, 8, w, partial(bitparallel.compile_sbndmq, 8)),
     )
 
 

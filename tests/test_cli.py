@@ -77,6 +77,17 @@ def test_verify_rejects_no_cases(capsys):
         assert out == ""
 
 
+def test_unknown_algorithm_exits_2(tmp_path, capsys):
+    # for verify, exit 1 would read as "mismatches found"
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"abcd" * 100)
+    for argv in (("bench", "--text", str(path), "--metric", "reads"), ("verify", "--cases", "10")):
+        code, _, err = run_cli(capsys, *argv, "--algos", "NOPE")
+        assert code == 2
+        assert "unknown algorithm 'NOPE'" in err
+        assert "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(b"abcabc")

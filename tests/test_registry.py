@@ -1,7 +1,7 @@
 import pytest
 
 from matchbench.bench import generate_rand_text, sample_patterns
-from matchbench.core import WORD, ApplicabilityError, WordSpec, brute_force_search
+from matchbench.core import WORD, ApplicabilityError, InstrumentedText, WordSpec, brute_force_search
 from matchbench.registry import (
     build_registry,
     DEFAULT_SELECTION_MAP,
@@ -147,7 +147,7 @@ def test_applicable_algorithms():
     assert {"HOR", "SO", "SA", "BNDM"} <= ids_m1
     assert "EBOM" not in ids_m1
     ids_big = {a.id for a in applicable_algorithms(2048)}
-    assert not any(a.needs_word for a in applicable_algorithms(2048))
+    assert all(a.m_max is None for a in applicable_algorithms(2048))
     assert {"SO", "SA", "LBNDM", "SSEF", "HOR"} <= ids_big
     with pytest.raises(ValueError):
         applicable_algorithms(0)
@@ -171,6 +171,32 @@ def test_every_descriptor_exact_at_other_word_widths(w):
         m_hi = algo.m_max if algo.m_max is not None else 4 * w
         for p, t in fuzz_cases(43 + w, 50, algo.m_min, m_hi, n_max=1024):
             assert algo.search(p, t) == brute_force_search(p, t), (algo.id, len(p), len(t))
+
+
+@pytest.mark.parametrize("w", [32, 64, 128])
+def test_every_descriptor_gates_its_bounds_and_returns_nothing_on_short_texts(w):
+    # the registry row is the one place bounds are checked: just outside
+    # them both entry points raise, at them the factory compiles; a pattern
+    # longer than the text (n = 0 .. m - 1) has no occurrence, and only the
+    # one-pass SO and SA read that text at all
+    for algo in build_registry(WordSpec(w)):
+        outside = [algo.m_min - 1] if algo.m_min > 1 else []
+        if algo.m_max is not None:
+            outside.append(algo.m_max + 1)
+        for m in outside:
+            for entry in (algo.compile, lambda p: algo.search(p, b"x" * 300)):
+                with pytest.raises(ApplicabilityError) as exc:
+                    entry(b"x" * m)
+                assert (exc.value.algorithm, exc.value.m) == (algo.id, m)
+        m_hi = algo.m_max if algo.m_max is not None else 4 * w
+        for p, _ in fuzz_cases(44 + w, 6, algo.m_min, m_hi, sigmas=(1, 2, 64)):
+            m = len(p)
+            for n in {0, m // 2, m - 1}:
+                it = InstrumentedText(p[:n])
+                assert algo.search(p, it) == [], (algo.id, m, n)
+                assert it.reads == (n if algo.id in ("SO", "SA") else 0), (algo.id, m, n)
+        algo.compile(b"x" * algo.m_min)
+        algo.compile(b"x" * m_hi)
 
 
 def test_precompiled_searcher_shareable_across_threads():
