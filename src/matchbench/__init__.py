@@ -18,7 +18,6 @@ from .bench import (
     run_benchmark,
     sample_patterns,
     sample_positions,
-    standard_texts,
 )
 from .core import (
     WORD,
@@ -35,7 +34,6 @@ from .registry import (
     REGISTRY,
     AlgorithmDescriptor,
     SelectionMap,
-    SizeClasses,
     applicable_algorithms,
     build_registry,
     classify,
@@ -62,7 +60,6 @@ __all__ = [
     "Pattern",
     "REGISTRY",
     "SelectionMap",
-    "SizeClasses",
     "Text",
     "WORD",
     "WordSpec",
@@ -83,5 +80,4 @@ __all__ = [
     "sample_positions",
     "select",
     "select_applicable",
-    "standard_texts",
 ]

@@ -29,9 +29,6 @@ ALLOWED_SIGMAS = (2, 4, 8, 16, 32, 64, 128, 256)
 
 DEFAULT_LENGTHS = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
-#: Full-scale random-buffer size (5 MiB).
-FULL_TEXT_SIZE = 5 * 2**20
-
 METRICS = ("time", "reads")
 
 
@@ -41,7 +38,6 @@ class BenchConfig:
     patterns_per_length: int = 400
     seed: int = 1
     metric: str = "time"
-    text_size: int = FULL_TEXT_SIZE
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(self.lengths))
@@ -55,8 +51,6 @@ class BenchConfig:
             raise ValueError("patterns_per_length must be >= 1")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if self.text_size < 1:
-            raise ValueError("text_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -151,15 +145,6 @@ def sample_patterns(text: Text, m: int, count: int, seed: int) -> list[Pattern]:
     """Patterns extracted from the text at sample_positions(...) — each one
     therefore occurs in the text at least once."""
     return [Pattern(text.data[i : i + m]) for i in sample_positions(text, m, count, seed)]
-
-
-def standard_texts(cfg: BenchConfig, sigmas=ALLOWED_SIGMAS) -> list[Text]:
-    """The standard Rand-sigma buffer suite, generated at cfg.text_size
-    with per-buffer sub-seeds."""
-    return [
-        generate_rand_text(sigma, cfg.text_size, derive_seed(cfg.seed, "rand", sigma))
-        for sigma in sigmas
-    ]
 
 
 def _measure_cell(cfg: BenchConfig, text: Text, sigma: int, algo: AlgorithmDescriptor,

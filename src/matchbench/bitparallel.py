@@ -117,10 +117,11 @@ def compile_bndm(p: bytes):
     return run
 
 
-def _sbndm_body(p: bytes, B: list[int]):
-    # shared simplified-BNDM window loop; a full-window survivor is the
-    # pattern itself, so no re-verification is needed
+def compile_sbndm(p: bytes):
+    """Simplified BNDM: no prefix bookkeeping; fixed period shift after a
+    full-window survival."""
     m = len(p)
+    B = backward_masks(p)
     per = m - kmp_failure(p)[m]
 
     def run(hay) -> list[int]:
@@ -139,6 +140,8 @@ def _sbndm_body(p: bytes, B: list[int]):
                 D = (D << 1) & B[hay[pos + j]]
                 if D == 0:
                     break
+            # a full-window survivor is the pattern itself, so no
+            # re-verification is needed
             if D:
                 out.append(pos)
                 pos += per
@@ -147,12 +150,6 @@ def _sbndm_body(p: bytes, B: list[int]):
         return out
 
     return run
-
-
-def compile_sbndm(p: bytes):
-    """Simplified BNDM: no prefix bookkeeping; fixed period shift after a
-    full-window survival."""
-    return _sbndm_body(p, backward_masks(p))
 
 
 SBNDM_GRAM_LENGTHS = (2, 4, 6, 8)
@@ -166,7 +163,7 @@ def compile_sbndmq(q: int, p: bytes):
     m = len(p)
     B = backward_masks(p)
     per = m - kmp_failure(p)[m]
-    entry_shift = m - q + 1
+    q_end = m - q
 
     def run(hay) -> list[int]:
         n = len(hay)
@@ -174,13 +171,14 @@ def compile_sbndmq(q: int, p: bytes):
         pos = 0
         end = n - m
         while pos <= end:
-            D = B[hay[pos + m - 1]] << (q - 1)
-            for k in range(1, q):
-                D &= B[hay[pos + m - 1 - k]] << (q - 1 - k)
+            j = m - 1
+            D = B[hay[pos + j]]
+            while j > q_end:
+                j -= 1
+                D = (D << 1) & B[hay[pos + j]]
             if D == 0:
-                pos += entry_shift
+                pos += j + 1
                 continue
-            j = m - q
             while j > 0:
                 j -= 1
                 D = (D << 1) & B[hay[pos + j]]

@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_algos(spec: str):
     if spec.strip().lower() == "all":
         return list(REGISTRY)
-    return [get_algorithm(name.strip()) for name in spec.split(",") if name.strip()]
+    # a repeated id (in any case) runs once, at its first position
+    return list(dict.fromkeys(get_algorithm(name.strip()) for name in spec.split(",") if name.strip()))
 
 
 def parse_pattern_bytes(s: str) -> bytes:

@@ -9,11 +9,13 @@ factories assume them and are reached through descriptors.
 The default selection map records the winning algorithm per (sigma
 class, m class) cell; cells without a stated winner carry the best entry
 of the matching result tables and are tagged "derived-fill" so reports
-can tell the two apart.
+can tell the two apart.  ``_M_MAX`` and ``_SIGMA_MIN`` are the one
+statement of the class bounds, and ``classify`` returns the cell key.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -105,55 +107,28 @@ def get_algorithm(algo_id: str) -> AlgorithmDescriptor:
         raise KeyError(f"unknown algorithm {algo_id!r}; known: {', '.join(a.id for a in REGISTRY)}") from None
 
 
-def applicable_algorithms(m: int, registry=REGISTRY) -> list[AlgorithmDescriptor]:
+def applicable_algorithms(m: int) -> list[AlgorithmDescriptor]:
     """All registry entries whose bounds admit pattern length m."""
     if m < 1:
         raise ValueError("pattern length must be >= 1")
-    return [a for a in registry if a.applicable(m)]
+    return [a for a in REGISTRY if a.applicable(m)]
 
 
 M_CLASSES = ("very_short", "short", "long", "very_long")
 SIGMA_CLASSES = ("very_small", "small", "large", "very_large")
 
-# inclusive m bounds per class (None = unbounded)
-M_CLASS_RANGES = {
-    "very_short": (1, 4),
-    "short": (5, 32),
-    "long": (33, 256),
-    "very_long": (257, None),
-}
+# the class bounds, stated once: m classes end at _M_MAX, sigma classes start at _SIGMA_MIN
+_M_MAX = (4, 32, 256)
+_SIGMA_MIN = (4, 32, 128)
 
 
-@dataclass(frozen=True)
-class SizeClasses:
-    sigma_class: str
-    m_class: str
-
-
-def classify(sigma: int, m: int) -> SizeClasses:
-    """Deterministic class pair: m <= 4 / <= 32 / <= 256 / beyond, and
-    sigma < 4 / < 32 / < 128 / beyond (sigma=128 counts as very large)."""
+def classify(sigma: int, m: int) -> tuple[str, str]:
+    """The (sigma_class, m_class) key of the selection-map cell."""
     if not 1 <= sigma <= 256:
         raise ValueError(f"alphabet size must be in [1, 256], got {sigma}")
     if m < 1:
         raise ValueError("pattern length must be >= 1")
-    if m <= 4:
-        mc = "very_short"
-    elif m <= 32:
-        mc = "short"
-    elif m <= 256:
-        mc = "long"
-    else:
-        mc = "very_long"
-    if sigma < 4:
-        sc = "very_small"
-    elif sigma < 32:
-        sc = "small"
-    elif sigma < 128:
-        sc = "large"
-    else:
-        sc = "very_large"
-    return SizeClasses(sc, mc)
+    return SIGMA_CLASSES[bisect_right(_SIGMA_MIN, sigma)], M_CLASSES[bisect_left(_M_MAX, m)]
 
 
 PAPER_STATED = "paper-stated"
@@ -199,36 +174,29 @@ class SelectionMap:
         return "\n".join(lines) + "\n"
 
 
-def default_selection_map() -> SelectionMap:
-    cells = {
-        ("very_small", "very_short"): MapCell("SA", PAPER_STATED),
-        ("very_small", "short"): MapCell("HASH5", DERIVED_FILL),
-        ("very_small", "long"): MapCell("HASH8", DERIVED_FILL),
-        ("very_small", "very_long"): MapCell("SSEF", PAPER_STATED),
-        ("small", "very_short"): MapCell("TVSBS", PAPER_STATED),
-        ("small", "short"): MapCell("HASH5", PAPER_STATED),
-        ("small", "long"): MapCell("HASH8", PAPER_STATED, ("SBNDMq4",)),
-        ("small", "very_long"): MapCell("SSEF", PAPER_STATED),
-        ("large", "very_short"): MapCell("FJS", PAPER_STATED),
-        ("large", "short"): MapCell("EBOM", PAPER_STATED),
-        ("large", "long"): MapCell("FSBNDM", PAPER_STATED, ("TVSBS",)),
-        ("large", "very_long"): MapCell("SSEF", PAPER_STATED),
-        ("very_large", "very_short"): MapCell("FJS", PAPER_STATED),
-        ("very_large", "short"): MapCell("EBOM", PAPER_STATED, ("SBNDM-BMH", "BMH-SBNDM")),
-        ("very_large", "long"): MapCell("FSBNDM", PAPER_STATED),
-        ("very_large", "very_long"): MapCell("LBNDM", PAPER_STATED),
-    }
-    return SelectionMap(cells)
-
-
-DEFAULT_SELECTION_MAP = default_selection_map()
+DEFAULT_SELECTION_MAP = SelectionMap({
+    ("very_small", "very_short"): MapCell("SA", PAPER_STATED),
+    ("very_small", "short"): MapCell("HASH5", DERIVED_FILL),
+    ("very_small", "long"): MapCell("HASH8", DERIVED_FILL),
+    ("very_small", "very_long"): MapCell("SSEF", PAPER_STATED),
+    ("small", "very_short"): MapCell("TVSBS", PAPER_STATED),
+    ("small", "short"): MapCell("HASH5", PAPER_STATED),
+    ("small", "long"): MapCell("HASH8", PAPER_STATED, ("SBNDMq4",)),
+    ("small", "very_long"): MapCell("SSEF", PAPER_STATED),
+    ("large", "very_short"): MapCell("FJS", PAPER_STATED),
+    ("large", "short"): MapCell("EBOM", PAPER_STATED),
+    ("large", "long"): MapCell("FSBNDM", PAPER_STATED, ("TVSBS",)),
+    ("large", "very_long"): MapCell("SSEF", PAPER_STATED),
+    ("very_large", "very_short"): MapCell("FJS", PAPER_STATED),
+    ("very_large", "short"): MapCell("EBOM", PAPER_STATED, ("SBNDM-BMH", "BMH-SBNDM")),
+    ("very_large", "long"): MapCell("FSBNDM", PAPER_STATED),
+    ("very_large", "very_long"): MapCell("LBNDM", PAPER_STATED),
+})
 
 
 def select(sigma: int, m: int, selection_map: SelectionMap = DEFAULT_SELECTION_MAP) -> AlgorithmDescriptor:
     """Map entry for the (sigma, m) cell, regardless of exact-m bounds."""
-    classes = classify(sigma, m)
-    cell = selection_map.cell(classes.sigma_class, classes.m_class)
-    return get_algorithm(cell.algorithm)
+    return get_algorithm(selection_map.cell(*classify(sigma, m)).algorithm)
 
 
 # Total (m_min = 1) and, unlike the filters SSEF and HASH3, it reads fewer
@@ -244,10 +212,8 @@ def select_applicable(sigma: int, m: int, selection_map: SelectionMap = DEFAULT_
     (e.g. the long-pattern cells at m > w); the cell alternates and then
     HOR, which every m admits, cover those lengths.
     """
-    classes = classify(sigma, m)
-    cell = selection_map.cell(classes.sigma_class, classes.m_class)
-    for algo_id in (cell.algorithm, *cell.alternates):
+    cell = selection_map.cell(*classify(sigma, m))
+    for algo_id in (cell.algorithm, *cell.alternates, _FALLBACK_ID):
         algo = get_algorithm(algo_id)
         if algo.applicable(m):
             return algo
-    return get_algorithm(_FALLBACK_ID)

@@ -172,8 +172,8 @@ def parse_measurements_csv(content: str) -> list[Measurement]:
     return out
 
 
-def render_best_map(measurements, fallback: SelectionMap = DEFAULT_SELECTION_MAP) -> SelectionMap:
-    """Measured winner per cell where data exists, fallback map entry
+def render_best_map(measurements) -> SelectionMap:
+    """Measured winner per cell where data exists, default map entry
     (with its paper-stated / derived-fill provenance) elsewhere.
 
     The measured winner is the algorithm with the lowest mean over the
@@ -181,8 +181,7 @@ def render_best_map(measurements, fallback: SelectionMap = DEFAULT_SELECTION_MAP
     """
     per_cell: dict[tuple[str, str], dict[str, list[float]]] = {}
     for ms in measurements:
-        classes = classify(ms.sigma, ms.m)
-        cell = per_cell.setdefault((classes.sigma_class, classes.m_class), {})
+        cell = per_cell.setdefault(classify(ms.sigma, ms.m), {})
         cell.setdefault(ms.algorithm, []).append(ms.mean_value)
 
     cells = {}
@@ -197,5 +196,5 @@ def render_best_map(measurements, fallback: SelectionMap = DEFAULT_SELECTION_MAP
                 )
                 cells[(sc, mc)] = MapCell(winner, MEASURED)
             else:
-                cells[(sc, mc)] = fallback.cell(sc, mc)
+                cells[(sc, mc)] = DEFAULT_SELECTION_MAP.cell(sc, mc)
     return SelectionMap(cells)

@@ -59,6 +59,21 @@ def fuzz_cases(seed: int, count: int, m_lo: int, m_hi: int, *,
         yield p, t
 
 
+class Recorder:
+    """Haystack that records every index read, in order."""
+
+    def __init__(self, data):
+        self.data = data
+        self.indices = []
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, i):
+        self.indices.append(i)
+        return self.data[i]
+
+
 def searcher(algo_id: str, word=WORD):
     """The registry's search entry point for one algorithm at a word width."""
     return {a.id: a for a in build_registry(word)}[algo_id].search

@@ -156,14 +156,3 @@ def test_derive_seed_stable():
     assert derive_seed(1, "rand2", 8) == derive_seed(1, "rand2", 8)
     assert derive_seed(1, "rand2", 8) != derive_seed(1, "rand2", 16)
 
-
-def test_standard_texts_suite():
-    from matchbench.bench import standard_texts
-
-    cfg = BenchConfig(text_size=4096, seed=23)
-    texts = standard_texts(cfg)
-    assert [t.id for t in texts] == [f"rand{s}" for s in (2, 4, 8, 16, 32, 64, 128, 256)]
-    assert all(len(t) == 4096 for t in texts)
-    assert texts[0].alphabet_size() == 2
-    again = standard_texts(cfg)
-    assert [t.data for t in again] == [t.data for t in texts]

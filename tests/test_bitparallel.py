@@ -11,7 +11,7 @@ from matchbench.bitparallel import (
 )
 from matchbench.core import ApplicabilityError, InstrumentedText, brute_force_search
 
-from conftest import assert_matches_oracle, fuzz_cases, rand_bytes, search_id, searcher
+from conftest import Recorder, assert_matches_oracle, fuzz_cases, rand_bytes, search_id, searcher
 
 
 def test_so_trivial():
@@ -97,6 +97,20 @@ def test_sbndmq_trivial_and_bounds():
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
 def test_sbndmq_fuzz(q):
     assert_matches_oracle(searcher(f"SBNDMq{q}"), fuzz_cases(37 + q, 1000, q, 64, n_max=1024))
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 8])
+def test_sbndmq_entry_reads_exactly_q(q):
+    # with no pattern character in the text every window fails at entry:
+    # it reads its last q positions, descending, then shifts m - q + 1
+    for m in (q, 16, 64):
+        p = bytes(range(1, m + 1))
+        rec = Recorder(bytes(500))
+        assert compile_sbndmq(q, p)(rec) == []
+        expected = []
+        for pos in range(0, 500 - m + 1, m - q + 1):
+            expected += range(pos + m - 1, pos + m - 1 - q, -1)
+        assert rec.indices == expected, (q, m)
 
 
 def test_fsbndm_trivial_and_bounds():

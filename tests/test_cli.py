@@ -152,6 +152,17 @@ def test_bench_inapplicable_only_gives_empty_data(small_text, capsys):
     assert "no (algorithm, length) cell fits" in err
 
 
+def test_repeated_algo_id_runs_once(small_text, capsys):
+    code, out, _ = run_cli(capsys, "bench", "--text", str(small_text), "--algos", "HOR,hor",
+                           "--lengths", "4,8", "--patterns", "2", "--metric", "reads")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if l and not l.startswith(("#", "text_id"))]
+    assert [(r[3], r[4]) for r in rows] == [("HOR", "4"), ("HOR", "8")]
+    code, out, _ = run_cli(capsys, "verify", "--cases", "20", "--seed", "7", "--algos", "HOR,hor")
+    assert code == 0
+    assert out.splitlines() == ["HOR: 20 cases", "total: 20 cases, 0 mismatches"]
+
+
 def test_report_roundtrip_and_golden(tmp_path, capsys):
     golden_csv = Path(__file__).parent / "data" / "golden_measurements.csv"
     golden_md = (Path(__file__).parent / "data" / "golden_table.md").read_text()

@@ -10,7 +10,7 @@ from matchbench.comparison import (
 )
 from matchbench.core import ApplicabilityError, InstrumentedText, brute_force_search
 
-from conftest import assert_matches_oracle, fuzz_cases, rand_bytes, search_id, searcher
+from conftest import Recorder, assert_matches_oracle, fuzz_cases, rand_bytes, search_id, searcher
 
 
 def test_hor_trivial():
@@ -78,18 +78,6 @@ def test_hashq_reads_only_sampled_grams():
     q, m = 3, 12
     p = bytes([0] * (m - q)) + bytes([7, 8, 9])
     t = bytes([0, 1] * 500)
-
-    class Recorder:
-        def __init__(self, data):
-            self.data = data
-            self.indices = []
-
-        def __len__(self):
-            return len(self.data)
-
-        def __getitem__(self, i):
-            self.indices.append(i)
-            return self.data[i]
 
     rec = Recorder(t)
     assert compile_hashq(q, p)(rec) == []

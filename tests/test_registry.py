@@ -5,7 +5,6 @@ from matchbench.core import WORD, ApplicabilityError, InstrumentedText, WordSpec
 from matchbench.registry import (
     build_registry,
     DEFAULT_SELECTION_MAP,
-    M_CLASS_RANGES,
     M_CLASSES,
     REGISTRY,
     SIGMA_CLASSES,
@@ -48,23 +47,50 @@ def test_get_algorithm_case_insensitive():
         get_algorithm("KMP")
 
 
+# The paper's class bounds, restated as the reference classify must match:
+# inclusive m range per class (None = unbounded), and sigma < 4 / < 32 /
+# < 128 / beyond.
+M_CLASS_RANGES = {
+    "very_short": (1, 4),
+    "short": (5, 32),
+    "long": (33, 256),
+    "very_long": (257, None),
+}
+
+
+def reference_classes(sigma: int, m: int) -> tuple[str, str]:
+    mc = next(c for c, (lo, hi) in M_CLASS_RANGES.items() if lo <= m and (hi is None or m <= hi))
+    if sigma < 4:
+        sc = "very_small"
+    elif sigma < 32:
+        sc = "small"
+    elif sigma < 128:
+        sc = "large"
+    else:
+        sc = "very_large"
+    return sc, mc
+
+
 def test_classify_boundaries():
     assert classify(2, 2) == classify(3, 4)
-    c = classify(2, 2)
-    assert (c.sigma_class, c.m_class) == ("very_small", "very_short")
-    c = classify(4, 4)
-    assert (c.sigma_class, c.m_class) == ("small", "very_short")
-    c = classify(128, 257)
-    assert (c.sigma_class, c.m_class) == ("very_large", "very_long")
-    assert classify(32, 5).sigma_class == "large"
-    assert classify(127, 32).m_class == "short"
-    assert classify(1, 33).m_class == "long"
+    assert classify(2, 2) == ("very_small", "very_short")
+    assert classify(4, 4) == ("small", "very_short")
+    assert classify(128, 257) == ("very_large", "very_long")
+    assert classify(32, 5) == ("large", "short")
+    assert classify(127, 32) == ("large", "short")
+    assert classify(1, 33) == ("very_small", "long")
     with pytest.raises(ValueError):
         classify(0, 4)
     with pytest.raises(ValueError):
         classify(257, 4)
     with pytest.raises(ValueError):
         classify(4, 0)
+
+
+def test_classify_matches_reference_everywhere():
+    for sigma in range(1, 257):
+        for m in range(1, 3000):
+            assert classify(sigma, m) == reference_classes(sigma, m), (sigma, m)
 
 
 def test_select_published_winners():
@@ -130,8 +156,7 @@ def test_select_applicable_falls_back_inside_gated_cells():
 def test_select_applicable_is_cell_entry_or_hor():
     for sigma in range(1, 257):
         for m in (*range(1, 71), 100, 200, 256, 257, 300, 1024):
-            classes = classify(sigma, m)
-            cell = DEFAULT_SELECTION_MAP.cell(classes.sigma_class, classes.m_class)
+            cell = DEFAULT_SELECTION_MAP.cell(*classify(sigma, m))
             algo = select_applicable(sigma, m)
             assert algo.applicable(m)
             assert algo.id in (cell.algorithm, *cell.alternates, "HOR"), (sigma, m, algo.id)
