@@ -20,12 +20,11 @@ from .bench import (
     sample_positions,
 )
 from .core import (
-    WORD,
+    W,
     ApplicabilityError,
     InstrumentedText,
     Pattern,
     Text,
-    WordSpec,
     brute_force_search,
 )
 from .differential import DifferentialReport, Mismatch, run_differential
@@ -35,7 +34,6 @@ from .registry import (
     AlgorithmDescriptor,
     SelectionMap,
     applicable_algorithms,
-    build_registry,
     classify,
     get_algorithm,
     select,
@@ -61,12 +59,10 @@ __all__ = [
     "REGISTRY",
     "SelectionMap",
     "Text",
-    "WORD",
-    "WordSpec",
+    "W",
     "applicable_algorithms",
     "brute_force_search",
     "build_factor_oracle",
-    "build_registry",
     "classify",
     "generate_rand_text",
     "get_algorithm",

@@ -196,17 +196,17 @@ def run_benchmark(cfg: BenchConfig, texts, algos=None) -> list[Measurement]:
         raise ValueError("need at least one text and one algorithm")
 
     out = []
-    pattern_cache: dict[tuple[str, int], list[Pattern]] = {}
     for text in texts:
         sigma = text.alphabet_size()
+        # per text, not per text id: two texts may share an id
+        patterns: dict[int, list[Pattern]] = {}
         for algo in algos:
             for m in cfg.lengths:
                 if m > len(text) or not algo.applicable(m):
                     continue
-                key = (text.id, m)
-                if key not in pattern_cache:
-                    pattern_cache[key] = sample_patterns(
+                if m not in patterns:
+                    patterns[m] = sample_patterns(
                         text, m, cfg.patterns_per_length, derive_seed(cfg.seed, text.id, m)
                     )
-                out.append(_measure_cell(cfg, text, sigma, algo, m, pattern_cache[key]))
+                out.append(_measure_cell(cfg, text, sigma, algo, m, patterns[m]))
     return out

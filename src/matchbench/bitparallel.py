@@ -1,20 +1,20 @@
 """Bit-parallel searchers: the Shift-Or/Shift-And pair and the BNDM family.
 
 States are Python ints used as packed bit vectors.  An int holding m bits
-is the ceil(m/w)-machine-word state the word-level algorithms maintain;
-carry propagation between words happens inside the arbitrary-precision
-arithmetic, so the per-character cost still scales with ceil(m/w).
+is the ceil(m/W)-machine-word state the word-level algorithms maintain,
+W being ``core.W``; carry propagation between words happens inside
+the arbitrary-precision arithmetic, so the per-character cost still
+scales with ceil(m/W).
 
 The ``compile_*`` factories assume the bounds of their registry rows
-(the BNDM family m <= w, FSBNDM m <= w-1 for its lookahead bit, SBNDMq
+(the BNDM family m <= W, FSBNDM m <= W-1 for its lookahead bit, SBNDMq
 m >= q) and are reached through those descriptors, which check them.
-Only LBNDM and SSEF take the word width, because it shapes their tables.
 """
 
 from __future__ import annotations
 
 from .comparison import _horspool_table, kmp_failure
-from .core import WORD, WordSpec, as_haystack, as_needle, match_at
+from .core import W, as_haystack, as_needle, match_at
 
 
 def forward_masks(p: bytes) -> list[int]:
@@ -37,7 +37,7 @@ def backward_masks(p: bytes) -> list[int]:
 def compile_so(p: bytes):
     """Shift-Or: one state update per text character, no early exit.
 
-    Works for any m; for m > w the state simply spans ceil(m/w) words.
+    Works for any m; for m > W the state simply spans ceil(m/W) words.
     """
     m = len(p)
     mask = (1 << m) - 1
@@ -232,11 +232,11 @@ def compile_fsbndm(p: bytes):
     return run
 
 
-def _superimposed_masks(p: bytes, w: int) -> tuple[list[int], int, int]:
+def _superimposed_masks(p: bytes) -> tuple[list[int], int, int]:
     # reduced position j accepts any character of its k-wide slice of p;
     # remainder characters join the last class
     m = len(p)
-    k = -(-m // w)
+    k = -(-m // W)
     ell = m // k
     B = [0] * 256
     for j in range(ell):
@@ -277,15 +277,15 @@ def _lbndm_scan(B: list[int], ell: int, k: int, m: int, hay):
             r += j + 1
 
 
-def compile_lbndm(p: bytes, word: WordSpec = WORD):
+def compile_lbndm(p: bytes):
     """LBNDM: BNDM over the superimposed pattern as a filter for long
     patterns; every filter hit is verified against the full pattern.
 
-    With m <= w the superimposition factor is 1 and this degenerates to a
+    With m <= W the superimposition factor is 1 and this degenerates to a
     plain BNDM scan.
     """
     m = len(p)
-    B, ell, k = _superimposed_masks(p, word.w)
+    B, ell, k = _superimposed_masks(p)
 
     def run(hay) -> list[int]:
         out: list[int] = []
@@ -298,11 +298,11 @@ def compile_lbndm(p: bytes, word: WordSpec = WORD):
     return run
 
 
-def lbndm_filter_candidates(pattern, text, word: WordSpec = WORD) -> list[tuple[int, int]]:
+def lbndm_filter_candidates(pattern, text) -> list[tuple[int, int]]:
     """Candidate start ranges [lo, hi] produced by the superimposition
     filter, before any verification.  Exposed for soundness checks."""
     p = as_needle(pattern)
-    B, ell, k = _superimposed_masks(p, word.w)
+    B, ell, k = _superimposed_masks(p)
     return [(lo, hi) for lo, hi in _lbndm_scan(B, ell, k, len(p), as_haystack(text)) if lo <= hi]
 
 

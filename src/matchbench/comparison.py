@@ -14,7 +14,7 @@ descriptors, which check them.
 
 from __future__ import annotations
 
-from .core import WORD, WordSpec, match_at
+from .core import W, match_at
 
 
 def _horspool_table(p: bytes) -> list[int]:
@@ -283,17 +283,17 @@ def _pick_filter_bit(p: bytes) -> int:
     return best_bit
 
 
-def _filter_width(m: int, w: int) -> int:
-    # largest power of two <= min(w, m // 2); m >= 32 keeps this >= 16,
+def _filter_width(m: int) -> int:
+    # largest power of two <= min(W, m // 2); m >= 32 keeps this >= 16,
     # so the sampling stride m - width + 1 stays above m/2
-    lim = min(w, m // 2)
+    lim = min(W, m // 2)
     width = 16
     while width * 2 <= lim:
         width *= 2
     return width
 
 
-def compile_ssef(p: bytes, word: WordSpec = WORD):
+def compile_ssef(p: bytes):
     """SSEF-style fingerprint filter for long patterns (m >= 32).
 
     One filter bit per character of a width-W block; text blocks sampled
@@ -302,7 +302,7 @@ def compile_ssef(p: bytes, word: WordSpec = WORD):
     those alignments are verified.
     """
     m = len(p)
-    width = _filter_width(m, word.w)
+    width = _filter_width(m)
     stride = m - width + 1
     bit = _pick_filter_bit(p)
     fps: dict[int, list[int]] = {}

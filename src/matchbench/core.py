@@ -13,6 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: Bit width of the machine word the bit-parallel bounds and the SSEF and
+#: LBNDM table shapes assume; the paper's tables are stated at this width.
+W = 64
+
+
 class ApplicabilityError(ValueError):
     """An algorithm was asked to run outside its pattern-length bounds."""
 
@@ -73,21 +78,6 @@ class Pattern:
 
     def __len__(self) -> int:
         return len(self.data)
-
-
-@dataclass(frozen=True)
-class WordSpec:
-    """Bit width of the machine word assumed by the bit-parallel family."""
-
-    w: int = 64
-
-    def __post_init__(self):
-        if self.w not in (32, 64, 128):
-            raise ValueError(f"word width must be 32, 64 or 128, got {self.w}")
-
-
-#: Process-wide default word width.
-WORD = WordSpec(64)
 
 
 class InstrumentedText:

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable
 
 from . import automata, bitparallel, comparison
-from .core import WORD, ApplicabilityError, WordSpec, as_haystack, as_needle
+from .core import W, ApplicabilityError, as_haystack, as_needle
 
 COMPARISON = "comparison"
 AUTOMATA = "automata"
@@ -62,39 +62,32 @@ class AlgorithmDescriptor:
         return self.compile(as_needle(pattern))(as_haystack(text))
 
 
-def build_registry(word: WordSpec = WORD) -> tuple[AlgorithmDescriptor, ...]:
-    """All implemented algorithms in canonical order (family, then age),
-    with the word-relative bounds resolved against the given word width."""
-    w = word.w
-    d = AlgorithmDescriptor
-    return (
-        d("HOR", COMPARISON, 1, None, comparison.compile_hor),
-        d("QS", COMPARISON, 1, None, comparison.compile_qs),
-        d("BR", COMPARISON, 1, None, comparison.compile_br),
-        d("TVSBS", COMPARISON, 1, None, comparison.compile_tvsbs),
-        d("FJS", COMPARISON, 1, None, comparison.compile_fjs),
-        d("HASH3", COMPARISON, 3, None, partial(comparison.compile_hashq, 3)),
-        d("HASH5", COMPARISON, 5, None, partial(comparison.compile_hashq, 5)),
-        d("HASH8", COMPARISON, 8, None, partial(comparison.compile_hashq, 8)),
-        d("SSEF", COMPARISON, 32, None, partial(comparison.compile_ssef, word=word)),
-        d("BOM", AUTOMATA, 1, None, automata.compile_bom),
-        d("EBOM", AUTOMATA, 2, None, automata.compile_ebom),
-        d("SO", BIT_PARALLEL, 1, None, bitparallel.compile_so),
-        d("SA", BIT_PARALLEL, 1, None, bitparallel.compile_sa),
-        d("BNDM", BIT_PARALLEL, 1, w, bitparallel.compile_bndm),
-        d("SBNDM", BIT_PARALLEL, 1, w, bitparallel.compile_sbndm),
-        d("LBNDM", BIT_PARALLEL, 1, None, partial(bitparallel.compile_lbndm, word=word)),
-        d("SBNDM-BMH", BIT_PARALLEL, 1, w, bitparallel.compile_sbndm_bmh),
-        d("BMH-SBNDM", BIT_PARALLEL, 1, w, bitparallel.compile_bmh_sbndm),
-        d("FSBNDM", BIT_PARALLEL, 1, w - 1, bitparallel.compile_fsbndm),
-        d("SBNDMq2", BIT_PARALLEL, 2, w, partial(bitparallel.compile_sbndmq, 2)),
-        d("SBNDMq4", BIT_PARALLEL, 4, w, partial(bitparallel.compile_sbndmq, 4)),
-        d("SBNDMq6", BIT_PARALLEL, 6, w, partial(bitparallel.compile_sbndmq, 6)),
-        d("SBNDMq8", BIT_PARALLEL, 8, w, partial(bitparallel.compile_sbndmq, 8)),
-    )
-
-
-REGISTRY: tuple[AlgorithmDescriptor, ...] = build_registry()
+#: All implemented algorithms in canonical order (family, then age).
+REGISTRY: tuple[AlgorithmDescriptor, ...] = (
+    AlgorithmDescriptor("HOR", COMPARISON, 1, None, comparison.compile_hor),
+    AlgorithmDescriptor("QS", COMPARISON, 1, None, comparison.compile_qs),
+    AlgorithmDescriptor("BR", COMPARISON, 1, None, comparison.compile_br),
+    AlgorithmDescriptor("TVSBS", COMPARISON, 1, None, comparison.compile_tvsbs),
+    AlgorithmDescriptor("FJS", COMPARISON, 1, None, comparison.compile_fjs),
+    AlgorithmDescriptor("HASH3", COMPARISON, 3, None, partial(comparison.compile_hashq, 3)),
+    AlgorithmDescriptor("HASH5", COMPARISON, 5, None, partial(comparison.compile_hashq, 5)),
+    AlgorithmDescriptor("HASH8", COMPARISON, 8, None, partial(comparison.compile_hashq, 8)),
+    AlgorithmDescriptor("SSEF", COMPARISON, 32, None, comparison.compile_ssef),
+    AlgorithmDescriptor("BOM", AUTOMATA, 1, None, automata.compile_bom),
+    AlgorithmDescriptor("EBOM", AUTOMATA, 2, None, automata.compile_ebom),
+    AlgorithmDescriptor("SO", BIT_PARALLEL, 1, None, bitparallel.compile_so),
+    AlgorithmDescriptor("SA", BIT_PARALLEL, 1, None, bitparallel.compile_sa),
+    AlgorithmDescriptor("BNDM", BIT_PARALLEL, 1, W, bitparallel.compile_bndm),
+    AlgorithmDescriptor("SBNDM", BIT_PARALLEL, 1, W, bitparallel.compile_sbndm),
+    AlgorithmDescriptor("LBNDM", BIT_PARALLEL, 1, None, bitparallel.compile_lbndm),
+    AlgorithmDescriptor("SBNDM-BMH", BIT_PARALLEL, 1, W, bitparallel.compile_sbndm_bmh),
+    AlgorithmDescriptor("BMH-SBNDM", BIT_PARALLEL, 1, W, bitparallel.compile_bmh_sbndm),
+    AlgorithmDescriptor("FSBNDM", BIT_PARALLEL, 1, W - 1, bitparallel.compile_fsbndm),
+    AlgorithmDescriptor("SBNDMq2", BIT_PARALLEL, 2, W, partial(bitparallel.compile_sbndmq, 2)),
+    AlgorithmDescriptor("SBNDMq4", BIT_PARALLEL, 4, W, partial(bitparallel.compile_sbndmq, 4)),
+    AlgorithmDescriptor("SBNDMq6", BIT_PARALLEL, 6, W, partial(bitparallel.compile_sbndmq, 6)),
+    AlgorithmDescriptor("SBNDMq8", BIT_PARALLEL, 8, W, partial(bitparallel.compile_sbndmq, 8)),
+)
 
 _BY_ID = {a.id.upper(): a for a in REGISTRY}
 
@@ -209,7 +202,7 @@ def select_applicable(sigma: int, m: int, selection_map: SelectionMap = DEFAULT_
     """Like select(), but guarantees the result is applicable at m.
 
     The map winner can be gated by the word width inside its own cell
-    (e.g. the long-pattern cells at m > w); the cell alternates and then
+    (e.g. the long-pattern cells at m > W); the cell alternates and then
     HOR, which every m admits, cover those lengths.
     """
     cell = selection_map.cell(*classify(sigma, m))

@@ -135,15 +135,17 @@ def _render_md(measurements) -> str:
 
 
 def parse_measurements_csv(content: str) -> list[Measurement]:
-    """Inverse of render_table(..., "csv"); blank and '#' lines skipped.
+    """Inverse of render_table(..., "csv"); blank lines, and '#' lines
+    before the header row, are skipped.
 
+    After the header a leading '#' is data: a text id may start with it.
     Parse failures report the 1-based line number.
     """
     out = []
     reader = csv.reader(io.StringIO(content))
     header_seen = False
     for lineno, row in enumerate(reader, start=1):
-        if not row or row[0].startswith("#"):
+        if not row or (not header_seen and row[0].startswith("#")):
             continue
         if not header_seen:
             if tuple(row) != CSV_HEADER:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from matchbench.core import WORD, brute_force_search
-from matchbench.registry import build_registry
+from matchbench.core import brute_force_search
+from matchbench.registry import get_algorithm
 
 
 def naive_scan(p: bytes, t: bytes) -> list[int]:
@@ -74,9 +74,9 @@ class Recorder:
         return self.data[i]
 
 
-def searcher(algo_id: str, word=WORD):
-    """The registry's search entry point for one algorithm at a word width."""
-    return {a.id: a for a in build_registry(word)}[algo_id].search
+def searcher(algo_id: str):
+    """The registry's search entry point for one algorithm."""
+    return get_algorithm(algo_id).search
 
 
 def search_id(value):

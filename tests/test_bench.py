@@ -12,7 +12,7 @@ from matchbench.bench import (
     sample_patterns,
     sample_positions,
 )
-from matchbench.core import brute_force_search
+from matchbench.core import Text, brute_force_search
 from matchbench.registry import REGISTRY, get_algorithm
 
 
@@ -142,6 +142,16 @@ def test_run_benchmark_skips_lengths_beyond_text():
     cfg = BenchConfig(lengths=(32, 128), patterns_per_length=2, seed=1, metric="reads")
     ms = run_benchmark(cfg, [text], [get_algorithm("HOR")])
     assert [m.m for m in ms] == [32]
+
+
+def test_run_benchmark_samples_each_text_even_when_ids_repeat():
+    # both texts carry the default id "text"; each must get patterns drawn
+    # from itself, so every sampled pattern occurs at least once
+    texts = [Text(b"ab" * 500), Text(bytes(range(256)) * 4)]
+    cfg = BenchConfig(lengths=(4,), patterns_per_length=3, metric="reads")
+    ms = run_benchmark(cfg, texts, [get_algorithm("HOR")])
+    assert [m.sigma for m in ms] == [2, 256]
+    assert all(m.mean_occurrences >= 1 for m in ms)
 
 
 def test_run_benchmark_reads_deterministic():

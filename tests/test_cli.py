@@ -174,6 +174,21 @@ def test_report_roundtrip_and_golden(tmp_path, capsys):
     assert out == golden_csv.read_text()
 
 
+def test_report_reads_text_ids_starting_with_hash(tmp_path, capsys):
+    # bench's '#' metadata line is a comment; a '#' text id after the header is data
+    text = tmp_path / "#notes.bin"
+    text.write_bytes(b"abcabd" * 50)
+    csv_path = tmp_path / "n.csv"
+    code, _, _ = run_cli(capsys, "bench", "--text", str(text), "--algos", "HOR",
+                         "--lengths", "2,4", "--metric", "reads", "--out", str(csv_path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "report", "--in", str(csv_path), "--format", "csv")
+    assert code == 0
+    assert out == csv_path.read_text().split("\n", 1)[1]
+    assert [l.split(",")[:5] for l in out.splitlines()[1:]] == [
+        ["#notes", "4", "comparison", "HOR", "2"], ["#notes", "4", "comparison", "HOR", "4"]]
+
+
 def test_report_parse_error_has_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("text_id,sigma,family,algorithm,m,mean,stddev,mean_occurrences,metric\nx,2,c,HOR,zzz,1,0,1,time\n")

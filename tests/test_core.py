@@ -5,7 +5,6 @@ from matchbench.core import (
     InstrumentedText,
     Pattern,
     Text,
-    WordSpec,
     brute_force_search,
 )
 
@@ -52,13 +51,6 @@ def test_pattern_rejects_empty():
     assert len(Pattern(b"a")) == 1
     with pytest.raises(ValueError):
         Pattern(b"")
-
-
-def test_wordspec_widths():
-    assert WordSpec(64).w == 64
-    for bad in (0, 16, 63, 65):
-        with pytest.raises(ValueError):
-            WordSpec(bad)
 
 
 def test_brute_force_trivial():

@@ -1,9 +1,8 @@
 import pytest
 
 from matchbench.bench import generate_rand_text, sample_patterns
-from matchbench.core import WORD, ApplicabilityError, InstrumentedText, WordSpec, brute_force_search
+from matchbench.core import W, ApplicabilityError, InstrumentedText, brute_force_search
 from matchbench.registry import (
-    build_registry,
     DEFAULT_SELECTION_MAP,
     M_CLASSES,
     REGISTRY,
@@ -144,7 +143,7 @@ def test_selected_algorithm_passes_oracle_inside_cell():
 
 
 def test_select_applicable_falls_back_inside_gated_cells():
-    # (large, long) defaults to FSBNDM which is word-gated above w-1
+    # (large, long) defaults to FSBNDM which is word-gated above W - 1
     assert select(64, 48).id == "FSBNDM"
     assert select_applicable(64, 48).id == "FSBNDM"
     fallback = select_applicable(64, 200)
@@ -178,33 +177,23 @@ def test_applicable_algorithms():
         applicable_algorithms(0)
 
 
-def test_build_registry_respects_word_width():
-    reg32 = {a.id: a for a in build_registry(WordSpec(32))}
-    assert reg32["BNDM"].m_max == 32
-    assert reg32["FSBNDM"].m_max == 31
-    assert reg32["SBNDM"].search(b"ab", b"abab") == [0, 2]
-    with pytest.raises(ApplicabilityError):
-        reg32["BNDM"].compile(b"x" * 33)
-    assert reg32["LBNDM"].search(b"x" * 33, b"x" * 50) == list(range(18))
+def test_every_descriptor_exact_raw_and_instrumented():
+    # unbounded algorithms are drawn up to m = 4W (LBNDM k = 1..4); reads
+    # mode must return the occurrences of the raw bytes
+    for algo in REGISTRY:
+        m_hi = algo.m_max if algo.m_max is not None else 4 * W
+        for p, t in fuzz_cases(43 + W, 50, algo.m_min, m_hi, n_max=1024):
+            expected = brute_force_search(p, t)
+            assert algo.search(p, t) == expected, (algo.id, len(p), len(t))
+            assert algo.search(p, InstrumentedText(t)) == expected, (algo.id, len(p), len(t))
 
 
-@pytest.mark.parametrize("w", [32, 128])
-def test_every_descriptor_exact_at_other_word_widths(w):
-    # the word-gated bounds and the LBNDM superimposition factor follow w;
-    # unbounded algorithms are drawn up to m = 4w (LBNDM k = 1..4)
-    for algo in build_registry(WordSpec(w)):
-        m_hi = algo.m_max if algo.m_max is not None else 4 * w
-        for p, t in fuzz_cases(43 + w, 50, algo.m_min, m_hi, n_max=1024):
-            assert algo.search(p, t) == brute_force_search(p, t), (algo.id, len(p), len(t))
-
-
-@pytest.mark.parametrize("w", [32, 64, 128])
-def test_every_descriptor_gates_its_bounds_and_returns_nothing_on_short_texts(w):
+def test_every_descriptor_gates_its_bounds_and_returns_nothing_on_short_texts():
     # the registry row is the one place bounds are checked: just outside
     # them both entry points raise, at them the factory compiles; a pattern
     # longer than the text (n = 0 .. m - 1) has no occurrence, and only the
     # one-pass SO and SA read that text at all
-    for algo in build_registry(WordSpec(w)):
+    for algo in REGISTRY:
         outside = [algo.m_min - 1] if algo.m_min > 1 else []
         if algo.m_max is not None:
             outside.append(algo.m_max + 1)
@@ -213,8 +202,8 @@ def test_every_descriptor_gates_its_bounds_and_returns_nothing_on_short_texts(w)
                 with pytest.raises(ApplicabilityError) as exc:
                     entry(b"x" * m)
                 assert (exc.value.algorithm, exc.value.m) == (algo.id, m)
-        m_hi = algo.m_max if algo.m_max is not None else 4 * w
-        for p, _ in fuzz_cases(44 + w, 6, algo.m_min, m_hi, sigmas=(1, 2, 64)):
+        m_hi = algo.m_max if algo.m_max is not None else 4 * W
+        for p, _ in fuzz_cases(44 + W, 6, algo.m_min, m_hi, sigmas=(1, 2, 64)):
             m = len(p)
             for n in {0, m // 2, m - 1}:
                 it = InstrumentedText(p[:n])
