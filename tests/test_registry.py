@@ -177,22 +177,37 @@ def test_applicable_algorithms():
         applicable_algorithms(0)
 
 
-def test_every_descriptor_exact_raw_and_instrumented():
-    # unbounded algorithms are drawn up to m = 4W (LBNDM k = 1..4); reads
-    # mode must return the occurrences of the raw bytes
+def _assert_every_descriptor_exact(seed, m_top):
+    # unbounded rows are drawn up to m = m_top; reads mode must return the
+    # occurrences of the raw bytes
     for algo in REGISTRY:
-        m_hi = algo.m_max if algo.m_max is not None else 4 * W
-        for p, t in fuzz_cases(43 + W, 50, algo.m_min, m_hi, n_max=1024):
+        m_hi = algo.m_max if algo.m_max is not None else m_top
+        for p, t in fuzz_cases(seed, 50, algo.m_min, m_hi, n_max=1024):
             expected = brute_force_search(p, t)
             assert algo.search(p, t) == expected, (algo.id, len(p), len(t))
             assert algo.search(p, InstrumentedText(t)) == expected, (algo.id, len(p), len(t))
 
 
-def test_every_descriptor_gates_its_bounds_and_returns_nothing_on_short_texts():
+def test_every_descriptor_exact_raw_and_instrumented():
+    # m up to 4W covers LBNDM's superimposition factors k = 1..4
+    _assert_every_descriptor_exact(43 + W, 4 * W)
+
+
+@pytest.mark.parametrize("w", [32, 128])
+def test_every_descriptor_exact_at_other_word_widths(w):
+    # the draws once made at word widths w != W, now run at the fixed W:
+    # the same seed and unbounded rows up to m = 4w, so w = 128 takes LBNDM
+    # on to k = 5..8 and w = 32 draws short patterns more densely
+    _assert_every_descriptor_exact(43 + w, 4 * w)
+
+
+@pytest.mark.parametrize("w", [32, 64, 128])
+def test_every_descriptor_gates_its_bounds_and_returns_nothing_on_short_texts(w):
     # the registry row is the one place bounds are checked: just outside
     # them both entry points raise, at them the factory compiles; a pattern
     # longer than the text (n = 0 .. m - 1) has no occurrence, and only the
-    # one-pass SO and SA read that text at all
+    # one-pass SO and SA read that text at all. The word width is fixed at
+    # W; w sets the seed and draws unbounded rows up to m = 4w
     for algo in REGISTRY:
         outside = [algo.m_min - 1] if algo.m_min > 1 else []
         if algo.m_max is not None:
@@ -202,8 +217,8 @@ def test_every_descriptor_gates_its_bounds_and_returns_nothing_on_short_texts():
                 with pytest.raises(ApplicabilityError) as exc:
                     entry(b"x" * m)
                 assert (exc.value.algorithm, exc.value.m) == (algo.id, m)
-        m_hi = algo.m_max if algo.m_max is not None else 4 * W
-        for p, _ in fuzz_cases(44 + W, 6, algo.m_min, m_hi, sigmas=(1, 2, 64)):
+        m_hi = algo.m_max if algo.m_max is not None else 4 * w
+        for p, _ in fuzz_cases(44 + w, 6, algo.m_min, m_hi, sigmas=(1, 2, 64)):
             m = len(p)
             for n in {0, m // 2, m - 1}:
                 it = InstrumentedText(p[:n])
