@@ -7,7 +7,7 @@ that slack is safe because full-window survival only gates a verification.
 
 from __future__ import annotations
 
-from .core import as_needle, match_at
+from .core import as_needle
 
 
 class FactorOracle:
@@ -79,7 +79,7 @@ def compile_bom(p: bytes):
             if j >= 0:
                 pos += j + 1
             else:
-                if match_at(hay, pos, p):
+                if hay.startswith(p, pos):
                     out.append(pos)
                 pos += 1
         return out
@@ -127,7 +127,7 @@ def compile_ebom(p: bytes):
             if j >= 0:
                 pos += j + 1
             else:
-                if match_at(hay, pos, p):
+                if hay.startswith(p, pos):
                     out.append(pos)
                 pos += 1
         return out

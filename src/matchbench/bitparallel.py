@@ -14,7 +14,7 @@ m >= q) and are reached through those descriptors, which check them.
 from __future__ import annotations
 
 from .comparison import _horspool_table, kmp_failure
-from .core import W, as_haystack, as_needle, match_at
+from .core import W, as_haystack, as_needle
 
 
 def forward_masks(p: bytes) -> list[int]:
@@ -225,7 +225,7 @@ def compile_fsbndm(p: bytes):
             else:
                 pos += j + 1
         # the last alignment has no lookahead character; check it directly
-        if match_at(hay, end, p):
+        if hay.startswith(p, end):
             out.append(end)
         return out
 
@@ -291,7 +291,7 @@ def compile_lbndm(p: bytes):
         out: list[int] = []
         for lo, hi in _lbndm_scan(B, ell, k, m, hay):
             for i in range(lo, hi + 1):
-                if match_at(hay, i, p):
+                if hay.startswith(p, i):
                     out.append(i)
         return out
 

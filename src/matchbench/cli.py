@@ -9,6 +9,7 @@ against brute force).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="print occurrences of a pattern in a file")
     p.add_argument("--algo", default="auto", help="algorithm id or 'auto'")
-    p.add_argument("--pattern", help="pattern; \\xNN escapes accepted")
+    p.add_argument("--pattern", help="pattern: the argument's own bytes, \\xNN escapes accepted")
     p.add_argument("--pattern-file", help="file holding the raw pattern bytes (wins over --pattern)")
     p.add_argument("--text", required=True, help="text file (raw bytes)")
     p.set_defaults(func=cmd_search)
@@ -89,8 +90,9 @@ def _parse_algos(spec: str):
 
 
 def parse_pattern_bytes(s: str) -> bytes:
-    r"""Literal pattern bytes with \xNN (and standard backslash) escapes."""
-    return s.encode("latin-1").decode("unicode_escape").encode("latin-1")
+    r"""The argument's own bytes, as typed, with \xNN (and standard
+    backslash) escapes applied."""
+    return os.fsencode(s).decode("unicode_escape").encode("latin-1")
 
 
 def cmd_gen(args) -> int:
@@ -134,6 +136,8 @@ def cmd_report(args) -> int:
     if args.best_map:
         best = render_best_map(ms)
         sys.stdout.write(best.to_csv() if args.format == "csv" else best.to_markdown())
+    elif not ms:
+        raise ValueError(f"{args.infile}: no measurements")
     else:
         sys.stdout.write(render_table(ms, args.format))
     return 0

@@ -14,7 +14,7 @@ descriptors, which check them.
 
 from __future__ import annotations
 
-from .core import W, match_at
+from .core import W
 
 
 def _horspool_table(p: bytes) -> list[int]:
@@ -82,7 +82,7 @@ def compile_hor(p: bytes):
         end = n - m
         while pos <= end:
             c = hay[pos + m - 1]
-            if c == last and match_at(hay, pos, p):
+            if c == last and hay.startswith(p, pos):
                 out.append(pos)
             pos += tbl[c]
         return out
@@ -101,7 +101,7 @@ def compile_qs(p: bytes):
         pos = 0
         end = n - m
         while pos <= end:
-            if match_at(hay, pos, p):
+            if hay.startswith(p, pos):
                 out.append(pos)
             if pos == end:
                 break
@@ -123,7 +123,7 @@ def compile_br(p: bytes):
         pos = 0
         end = n - m
         while pos <= end:
-            if match_at(hay, pos, p):
+            if hay.startswith(p, pos):
                 out.append(pos)
             if pos == end:
                 break
@@ -144,6 +144,7 @@ def compile_tvsbs(p: bytes):
     qs = _sunday_table(p)
     first = p[0]
     last = p[m - 1]
+    inner = p[1 : m - 1]
 
     def run(hay) -> list[int]:
         n = len(hay)
@@ -151,12 +152,8 @@ def compile_tvsbs(p: bytes):
         pos = 0
         end = n - m
         while pos <= end:
-            if hay[pos + m - 1] == last and hay[pos] == first:
-                k = 1
-                while k < m - 1 and hay[pos + k] == p[k]:
-                    k += 1
-                if k >= m - 1:
-                    out.append(pos)
+            if hay[pos + m - 1] == last and hay[pos] == first and hay.startswith(inner, pos + 1):
+                out.append(pos)
             if pos == end:
                 break
             if pos + m + 1 < n:
@@ -258,7 +255,7 @@ def compile_hashq(q: int, p: bytes):
             if s:
                 pos += s
             else:
-                if match_at(hay, pos, p):
+                if hay.startswith(p, pos):
                     out.append(pos)
                 pos += advance
         return out
@@ -330,7 +327,7 @@ def compile_ssef(p: bytes):
                 # so descending offsets keep the output ascending
                 for j in reversed(offs):
                     i = s - j
-                    if 0 <= i <= hi_start and match_at(hay, i, p):
+                    if 0 <= i <= hi_start and hay.startswith(p, i):
                         out.append(i)
             s += stride
         return out

@@ -5,7 +5,8 @@ Searchers treat the haystack as an indexable sequence of byte values.  Raw
 counts every single-character read, which is the machine-independent cost
 metric used by the benchmark's "reads" mode.  To keep that accounting
 honest, no searcher in this package ever slices the haystack: text access
-is one character at a time.
+is one character at a time, or one ``startswith(p, i)`` window check,
+which :class:`InstrumentedText` counts as a left-to-right compare.
 """
 
 from __future__ import annotations
@@ -113,6 +114,15 @@ class InstrumentedText:
             self.reads += 1
             yield c
 
+    def startswith(self, p: bytes, i: int) -> bool:
+        """``bytes.startswith(p, i)`` for 0 <= i <= n - m, compared left to
+        right through ``self[i + k]``: k + 1 reads on a first mismatch at k,
+        m on a match."""
+        for k in range(len(p)):
+            if self[i + k] != p[k]:
+                return False
+        return True
+
 
 def as_haystack(text):
     """Unwrap a Text to raw bytes; keep instrumented wrappers intact."""
@@ -131,14 +141,6 @@ def as_needle(pattern) -> bytes:
     if not b:
         raise ValueError("pattern must have length >= 1")
     return b
-
-
-def match_at(hay, i: int, p: bytes) -> bool:
-    """Left-to-right window verification, one character read at a time."""
-    for k in range(len(p)):
-        if hay[i + k] != p[k]:
-            return False
-    return True
 
 
 def brute_force_search(pattern, text) -> list[int]:

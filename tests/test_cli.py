@@ -208,6 +208,19 @@ def test_report_best_map_fallback(tmp_path, capsys):
     assert "SA [paper-stated]" in out
 
 
+def test_report_refuses_empty_measurements(tmp_path, capsys):
+    # an empty or header-only CSV is no work: the table mode exits 2
+    # (--best-map still prints the default map, pinned above)
+    for name, content in (("empty.csv", ""), ("header.csv",
+                          "text_id,sigma,family,algorithm,m,mean,stddev,mean_occurrences,metric\n")):
+        path = tmp_path / name
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "report", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: no measurements\n"
+
+
 def test_search_auto_small_alphabet(tmp_path, capsys):
     data = bytes([0, 1, 1, 0, 1, 1, 0, 0, 1, 1]) * 30
     path = tmp_path / "bin2"
@@ -257,6 +270,27 @@ def test_parse_pattern_bytes_escapes():
     assert parse_pattern_bytes(r"\x00\xffa") == b"\x00\xffa"
     assert parse_pattern_bytes("plain") == b"plain"
     assert parse_pattern_bytes(r"a\\b") == b"a\\b"
+
+
+def test_parse_pattern_bytes_takes_the_arguments_own_bytes():
+    # argv arrives decoded with the filesystem encoding; the pattern is the
+    # bytes the user typed, not their Latin-1 re-encoding
+    assert parse_pattern_bytes(os.fsdecode(b"caf\xc3\xa9")) == b"caf\xc3\xa9"
+    assert parse_pattern_bytes(os.fsdecode(b"\xff")) == b"\xff"
+
+
+def test_search_finds_a_utf8_pattern(tmp_path, capsys):
+    path = tmp_path / "u.txt"
+    path.write_bytes("café au lait\n".encode("utf-8"))
+    code, out, _ = run_cli(capsys, "search", "--pattern", os.fsdecode("café".encode("utf-8")),
+                           "--text", str(path))
+    assert code == 0
+    assert out.splitlines() == ["0"]
+    # a character outside Latin-1 is searched for, not a codec error
+    code, out, _ = run_cli(capsys, "search", "--pattern", os.fsdecode("中".encode("utf-8")),
+                           "--text", str(path))
+    assert code == 1
+    assert out == ""
 
 
 def test_verify_command(capsys):

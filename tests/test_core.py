@@ -119,3 +119,26 @@ def test_instrumented_text():
     assert it.reads == 2 * first  # monotone, same cost per run
     with pytest.raises(TypeError):
         it[0:2]
+
+
+def test_instrumented_startswith_contract():
+    # same answer as bytes.startswith; k + 1 reads on a first mismatch at k,
+    # m on a match, none for the empty needle (TVSBS's inner part at m <= 2)
+    rng = np.random.default_rng(5)
+    matches = 0
+    for _ in range(2000):
+        sigma = int(rng.choice([1, 2, 4, 256]))
+        n = int(rng.integers(0, 64))
+        m = int(rng.integers(0, n + 1))
+        t = rand_bytes(rng, sigma, n)
+        i = int(rng.integers(0, n - m + 1))
+        p = t[i : i + m] if rng.random() < 0.5 else rand_bytes(rng, sigma, m)
+        mismatch = next((k for k in range(m) if t[i + k] != p[k]), None)
+        it = InstrumentedText(t)
+        assert it.startswith(p, i) == t.startswith(p, i) == (mismatch is None)
+        assert it.reads == (m if mismatch is None else mismatch + 1)
+        matches += mismatch is None
+    assert 500 < matches < 1500
+    it = InstrumentedText(b"ab")
+    assert it.startswith(b"", 0) and it.startswith(b"", 2)
+    assert it.reads == 0

@@ -228,6 +228,48 @@ def test_every_descriptor_gates_its_bounds_and_returns_nothing_on_short_texts(w)
         algo.compile(b"x" * m_hi)
 
 
+#: reads per row over the case set of _reads_per_descriptor, which
+#: regenerates it when a searcher is meant to change its reads
+READS_PER_DESCRIPTOR = {
+    "HOR": 1102612, "QS": 1104235, "BR": 1115456, "TVSBS": 1120542,
+    "FJS": 28001, "HASH3": 1205318, "HASH5": 1140596, "HASH8": 960660,
+    "SSEF": 845187, "BOM": 1836806, "EBOM": 1838739, "SO": 30998,
+    "SA": 30998, "BNDM": 157932, "SBNDM": 157973, "LBNDM": 1259504,
+    "SBNDM-BMH": 157976, "BMH-SBNDM": 219225, "FSBNDM": 78207, "SBNDMq2": 172703,
+    "SBNDMq4": 166785, "SBNDMq6": 154308, "SBNDMq8": 185458,
+}
+
+
+def _reads_per_descriptor() -> dict[str, int]:
+    # total InstrumentedText reads per row over random cases, then over
+    # 1 KiB 0^n and (ab)^k texts with an exact and a near-miss (middle
+    # character changed) pattern at each applicable m, where verification
+    # dominates
+    periodic = (bytes(1024), b"ab" * 512)
+    totals = {}
+    for algo in REGISTRY:
+        m_hi = algo.m_max if algo.m_max is not None else 4 * W
+        cases = list(fuzz_cases(47, 25, algo.m_min, m_hi, n_max=1024))
+        for t in periodic:
+            for m in (4, 16, 64, 512):
+                if algo.applicable(m):
+                    near = bytearray(t[:m])
+                    near[m // 2] ^= 1
+                    cases += [(t[:m], t), (bytes(near), t)]
+        reads = 0
+        for p, t in cases:
+            it = InstrumentedText(t)
+            algo.search(p, it)
+            reads += it.reads
+        totals[algo.id] = reads
+    return totals
+
+
+def test_reads_per_descriptor_are_pinned():
+    # the exact cost metric, scan and verification together, of every row
+    assert _reads_per_descriptor() == READS_PER_DESCRIPTOR
+
+
 def test_precompiled_searcher_shareable_across_threads():
     from concurrent.futures import ThreadPoolExecutor
 
