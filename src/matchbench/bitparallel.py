@@ -109,7 +109,7 @@ def compile_bndm(p: bytes):
                         break
                 if j == 0:
                     break
-                D = (D << 1) & mask
+                D <<= 1  # the next AND with B clears bit m
                 j -= 1
             pos += last
         return out

@@ -25,7 +25,6 @@ from .bench import (
     load_corpus,
     run_benchmark,
 )
-from .core import Pattern
 from .differential import run_differential
 from .registry import REGISTRY, get_algorithm, select_applicable
 from .report import parse_measurements_csv, render_best_map, render_table
@@ -150,14 +149,13 @@ def cmd_search(args) -> int:
         raw = parse_pattern_bytes(args.pattern)
     else:
         raise ValueError("one of --pattern / --pattern-file is required")
-    pattern = Pattern(raw)
     text = load_corpus(args.text)
     if args.algo.strip().lower() == "auto":
         sigma = max(text.alphabet_size(), 1)
-        algo = select_applicable(sigma, len(pattern))
+        algo = select_applicable(sigma, len(raw))
     else:
         algo = get_algorithm(args.algo)
-    positions = algo.search(pattern, text)
+    positions = algo.search(raw, text)
     for i in positions:
         print(i)
     return 0 if positions else 1

@@ -214,9 +214,10 @@ HASH_GRAM_LENGTHS = (3, 5, 8)
 
 
 def _gram_hash(seq, start: int, q: int) -> int:
+    # for q <= 8, h <= 255 * (2**q - 1) <= 65025: always a 16-bit table index
     h = 0
     for k in range(q):
-        h = ((h << 1) + seq[start + k]) & 0xFFFF
+        h = (h << 1) + seq[start + k]
     return h
 
 
@@ -249,8 +250,8 @@ def compile_hashq(q: int, p: bytes):
         while pos <= end:
             base = pos + m - q
             h = 0
-            for k in range(q):
-                h = ((h << 1) + hay[base + k]) & 0xFFFF
+            for k in range(q):  # no mask needed: see _gram_hash
+                h = (h << 1) + hay[base + k]
             s = tbl[h]
             if s:
                 pos += s

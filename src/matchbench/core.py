@@ -1,6 +1,8 @@
 """Core domain types and the reference search oracle.
 
-Searchers treat the haystack as an indexable sequence of byte values.  Raw
+Patterns and texts are byte strings: :func:`as_bytes` is the one place
+that decides what counts as one, and every entry point converts through
+it, so searchers see only ``bytes`` or an :class:`InstrumentedText`.  Raw
 ``bytes`` is the fast path; :class:`InstrumentedText` wraps a text and
 counts every single-character read, which is the machine-independent cost
 metric used by the benchmark's "reads" mode.  To keep that accounting
@@ -29,6 +31,12 @@ class ApplicabilityError(ValueError):
         super().__init__(f"{algorithm} is not applicable at m={m}: requires {bound}")
 
 
+def as_bytes(x) -> bytes:
+    """``x`` as ``bytes``: any bytes-like object is accepted; an int, a str
+    or a list raises TypeError (``bytes(3)`` would be three NULs)."""
+    return x if type(x) is bytes else bytes(memoryview(x))
+
+
 _ALPHABET_HEAD = 4096
 _ALL_BYTES = bytes(range(256))
 
@@ -41,8 +49,7 @@ class Text:
     id: str = "text"
 
     def __post_init__(self):
-        if not isinstance(self.data, bytes):
-            object.__setattr__(self, "data", bytes(self.data))
+        object.__setattr__(self, "data", as_bytes(self.data))
         if not self.id:
             raise ValueError("text id must be non-empty")
 
@@ -72,8 +79,7 @@ class Pattern:
     data: bytes
 
     def __post_init__(self):
-        if not isinstance(self.data, bytes):
-            object.__setattr__(self, "data", bytes(self.data))
+        object.__setattr__(self, "data", as_bytes(self.data))
         if len(self.data) == 0:
             raise ValueError("pattern must have length >= 1")
 
@@ -89,15 +95,10 @@ class InstrumentedText:
     never decreases.  Not thread-safe: one counter, no locking.
     """
 
-    __slots__ = ("data", "id", "reads")
+    __slots__ = ("data", "reads")
 
     def __init__(self, text: Text | bytes):
-        if isinstance(text, Text):
-            self.data = text.data
-            self.id = text.id
-        else:
-            self.data = bytes(text)
-            self.id = "text"
+        self.data = text.data if isinstance(text, Text) else as_bytes(text)
         self.reads = 0
 
     def __len__(self) -> int:
@@ -124,23 +125,16 @@ class InstrumentedText:
         return True
 
 
-def as_haystack(text):
-    """Unwrap a Text to raw bytes; keep instrumented wrappers intact."""
-    if isinstance(text, Text):
-        return text.data
-    if isinstance(text, (bytes, bytearray)):
-        return bytes(text)
-    return text
+def as_haystack(text) -> bytes | InstrumentedText:
+    """An InstrumentedText unchanged, anything else as raw bytes."""
+    if isinstance(text, InstrumentedText):
+        return text
+    return text.data if isinstance(text, Text) else as_bytes(text)
 
 
 def as_needle(pattern) -> bytes:
     """Pattern bytes, rejecting the empty needle."""
-    if isinstance(pattern, Pattern):
-        return pattern.data
-    b = bytes(pattern)
-    if not b:
-        raise ValueError("pattern must have length >= 1")
-    return b
+    return (pattern if isinstance(pattern, Pattern) else Pattern(pattern)).data
 
 
 def brute_force_search(pattern, text) -> list[int]:

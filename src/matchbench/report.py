@@ -50,20 +50,21 @@ def _row_key(ms: Measurement) -> tuple:
     return (_ALGO_ORDER.get(ms.algorithm, len(_ALGO_ORDER)), ms.algorithm, ms.m)
 
 
-def _check_single_text(measurements) -> None:
-    ids = {ms.text_id for ms in measurements}
-    if len(ids) > 1:
-        raise ValueError(f"measurements span multiple texts: {sorted(ids)}")
+def _check_single(measurements, field: str, what: str) -> None:
+    values = {getattr(ms, field) for ms in measurements}
+    if len(values) > 1:
+        raise ValueError(f"measurements span multiple {what}: {sorted(values)}")
 
 
 def render_table(measurements, fmt: str = "md") -> str:
-    """Deterministic document for one text's measurements.
+    """Deterministic document for one text's measurements of one metric.
 
     csv: one row per measurement.  md: the algorithm x m matrix with
     per-column ranks and the best cell bold.
     """
     measurements = sorted(measurements, key=_row_key)
-    _check_single_text(measurements)
+    _check_single(measurements, "text_id", "texts")
+    _check_single(measurements, "metric", "metrics")
     if fmt == "csv":
         return _render_csv(measurements)
     if fmt == "md":
@@ -179,8 +180,10 @@ def render_best_map(measurements) -> SelectionMap:
     (with its paper-stated / derived-fill provenance) elsewhere.
 
     The measured winner is the algorithm with the lowest mean over the
-    cell's sampled (sigma, m) points; ties go to registry order.
+    cell's sampled (sigma, m) points; ties go to registry order.  Means of
+    different metrics are not comparable, so a mix raises ValueError.
     """
+    _check_single(measurements, "metric", "metrics")
     per_cell: dict[tuple[str, str], dict[str, list[float]]] = {}
     for ms in measurements:
         cell = per_cell.setdefault(classify(ms.sigma, ms.m), {})

@@ -221,6 +221,23 @@ def test_report_refuses_empty_measurements(tmp_path, capsys):
         assert err == f"error: {path}: no measurements\n"
 
 
+def test_report_refuses_mixed_metrics(tmp_path, capsys):
+    # means of different metrics are not comparable: a table titled by one
+    # metric, or a map averaging ms with reads, would mislabel them
+    path = tmp_path / "mixed.csv"
+    path.write_text(
+        "text_id,sigma,family,algorithm,m,mean,stddev,mean_occurrences,metric\n"
+        "t,2,comparison,HOR,4,12,0,1,time\n"
+        "t,2,comparison,HOR,4,900,0,1,reads\n"
+        "t,2,bit-parallel,SA,4,50,0,1,reads\n"
+    )
+    for extra in ((), ("--best-map",), ("--best-map", "--format", "csv")):
+        code, out, err = run_cli(capsys, "report", "--in", str(path), *extra)
+        assert code == 2, extra
+        assert out == ""
+        assert err == "error: measurements span multiple metrics: ['reads', 'time']\n"
+
+
 def test_search_auto_small_alphabet(tmp_path, capsys):
     data = bytes([0, 1, 1, 0, 1, 1, 0, 0, 1, 1]) * 30
     path = tmp_path / "bin2"
@@ -253,6 +270,10 @@ def test_search_exit_codes(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "search", "--pattern", "", "--text", str(path))
     assert code == 2
+    assert "pattern length must be >= 1" in err
+    code, _, err = run_cli(capsys, "search", "--algo", "HOR", "--pattern", "", "--text", str(path))
+    assert code == 2
+    assert "pattern must have length >= 1" in err
 
 
 def test_search_pattern_file_wins(tmp_path, capsys):

@@ -1,7 +1,14 @@
 import pytest
 
 from matchbench.bench import generate_rand_text, sample_patterns
-from matchbench.core import W, ApplicabilityError, InstrumentedText, brute_force_search
+from matchbench.core import (
+    W,
+    ApplicabilityError,
+    InstrumentedText,
+    Pattern,
+    Text,
+    brute_force_search,
+)
 from matchbench.registry import (
     DEFAULT_SELECTION_MAP,
     M_CLASSES,
@@ -191,6 +198,34 @@ def _assert_every_descriptor_exact(seed, m_top):
 def test_every_descriptor_exact_raw_and_instrumented():
     # m up to 4W covers LBNDM's superimposition factors k = 1..4
     _assert_every_descriptor_exact(43 + W, 4 * W)
+
+
+def test_every_descriptor_takes_any_bytes_like_input():
+    # searchers see only bytes or InstrumentedText, whatever the caller passed
+    for algo in REGISTRY:
+        m_hi = algo.m_max if algo.m_max is not None else algo.m_min + W
+        for p, t in fuzz_cases(71, 3, algo.m_min, m_hi, n_max=256):
+            expected = brute_force_search(p, t)
+            for kind in (bytes, bytearray, memoryview, Text):
+                assert algo.search(p, kind(t)) == expected, (algo.id, kind)
+                assert algo.search(p, InstrumentedText(kind(t))) == expected, (algo.id, kind)
+            for kind in (bytearray, memoryview, Pattern):
+                assert algo.search(kind(p), t) == expected, (algo.id, kind)
+
+
+@pytest.mark.parametrize("bad", [b"abc"[0], "ab", [97, 98]], ids=["int", "str", "list"])
+def test_non_bytes_inputs_are_refused(bad):
+    # b"abc"[0] is the int 97, and bytes(97) would be 97 NULs
+    text = b"ab" * 40
+    for algo in REGISTRY:
+        with pytest.raises(TypeError):
+            algo.search(bad, text)
+        with pytest.raises(TypeError):
+            algo.search(b"a" * algo.m_min, bad)
+    for call in (lambda: brute_force_search(bad, text), lambda: brute_force_search(b"a", bad),
+                 lambda: Pattern(bad), lambda: Text(bad), lambda: InstrumentedText(bad)):
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.mark.parametrize("w", [32, 128])
