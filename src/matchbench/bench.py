@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .core import InstrumentedText, Pattern, Text
 from .registry import REGISTRY, AlgorithmDescriptor
 
@@ -75,6 +73,14 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def _pcg64(seed: int):
+    """numpy's PCG64 generator for one seed.  numpy is imported here, not at
+    module level, so only the paths that draw random numbers load it."""
+    import numpy as np
+
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def generate_rand_text(sigma: int, size: int, seed: int, allow_any_sigma: bool = False) -> Text:
     """Uniform i.i.d. random text over byte values 0..sigma-1.
 
@@ -87,8 +93,7 @@ def generate_rand_text(sigma: int, size: int, seed: int, allow_any_sigma: bool =
         raise ValueError(f"sigma must be in [1, 256], got {sigma}")
     if size < 1:
         raise ValueError("size must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    data = rng.integers(0, sigma, size=size, dtype=np.uint8).tobytes()
+    data = _pcg64(seed).integers(0, sigma, size=size, dtype="uint8").tobytes()
     return Text(data, f"rand{sigma}")
 
 
@@ -137,8 +142,7 @@ def sample_positions(text: Text, m: int, count: int, seed: int) -> list[int]:
         raise ValueError(f"cannot sample length-{m} patterns from a length-{n} text")
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.integers(0, n - m + 1, size=count).tolist()
+    return _pcg64(seed).integers(0, n - m + 1, size=count).tolist()
 
 
 def sample_patterns(text: Text, m: int, count: int, seed: int) -> list[Pattern]:

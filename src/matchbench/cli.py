@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bench import (
     ALLOWED_SIGMAS,
@@ -112,6 +110,8 @@ def cmd_bench(args) -> int:
     if not ms:
         raise ValueError("no (algorithm, length) cell fits: every length exceeds the text"
                          " or no listed algorithm is applicable at any length")
+    import numpy as np  # only for its version in the metadata line
+
     meta = (
         f"# prng={PRNG_NAME} numpy={np.__version__} seed={args.seed}"
         f" patterns={args.patterns} metric={args.metric} text={text.id} n={len(text)}\n"
@@ -156,8 +156,16 @@ def cmd_search(args) -> int:
     else:
         algo = get_algorithm(args.algo)
     positions = algo.search(raw, text)
-    for i in positions:
-        print(i)
+    if positions:
+        try:
+            sys.stdout.write("\n".join(map(str, positions)) + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): what was found still sets the
+            # status, and the exit-time flush goes to devnull, not to stderr
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return 0 if positions else 1
 
 

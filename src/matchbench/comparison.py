@@ -304,11 +304,16 @@ def compile_ssef(p: bytes):
     stride = m - width + 1
     bit = _pick_filter_bit(p)
     fps: dict[int, list[int]] = {}
+    # slide the width-bit fingerprint one character at a time: O(m), not O(m * width)
+    bits = [(c >> bit) & 1 for c in p]
+    top = width - 1
+    f = 0
+    for k in range(top):
+        f |= bits[k] << k
     for j in range(m - width + 1):
-        f = 0
-        for k in range(width):
-            f |= ((p[j + k] >> bit) & 1) << k
+        f |= bits[j + top] << top
         fps.setdefault(f, []).append(j)
+        f >>= 1
 
     def run(hay) -> list[int]:
         n = len(hay)

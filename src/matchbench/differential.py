@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .bench import ALLOWED_SIGMAS, derive_seed
+from .bench import ALLOWED_SIGMAS, _pcg64, derive_seed
 from .core import brute_force_search
 from .registry import REGISTRY, AlgorithmDescriptor
 
@@ -70,7 +68,7 @@ class DifferentialReport:
 
 
 def _make_case(algo: AlgorithmDescriptor, case_seed: int):
-    rng = np.random.Generator(np.random.PCG64(case_seed))
+    rng = _pcg64(case_seed)
     sigma = int(rng.choice(ALLOWED_SIGMAS))
     lo = algo.m_min
     hi = algo.m_max if algo.m_max is not None else DEFAULT_MAX_N
@@ -79,10 +77,10 @@ def _make_case(algo: AlgorithmDescriptor, case_seed: int):
     m = int(round(2 ** rng.uniform(math.log2(lo), math.log2(hi))))
     m = max(lo, min(m, hi))
     n = int(rng.integers(m, DEFAULT_MAX_N + 1))
-    text = rng.integers(0, sigma, size=n, dtype=np.uint8).tobytes()
+    text = rng.integers(0, sigma, size=n, dtype="uint8").tobytes()
     kind = _KINDS[int(rng.integers(0, 3))]
     if kind == "random":
-        pattern = rng.integers(0, sigma, size=m, dtype=np.uint8).tobytes()
+        pattern = rng.integers(0, sigma, size=m, dtype="uint8").tobytes()
     else:
         i = int(rng.integers(0, n - m + 1))
         pattern = text[i : i + m]

@@ -88,11 +88,16 @@ def test_unknown_algorithm_exits_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def child_env():
+    """The environment for a child interpreter that imports this checkout's matchbench."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(b"abcabc")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = child_env()
     done = subprocess.run([sys.executable, "-m", "matchbench", "search", "--pattern", "abc",
                            "--text", str(path)], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -274,6 +279,40 @@ def test_search_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "search", "--algo", "HOR", "--pattern", "", "--text", str(path))
     assert code == 2
     assert "pattern must have length >= 1" in err
+
+
+def test_search_needs_no_numpy(tmp_path):
+    # only gen, bench and verify draw random numbers; a module-level numpy
+    # import anywhere on the search path would fail here
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"abcabc")
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import matchbench\n"
+        "from matchbench import cli\n"
+        "for algo in ('auto', 'HOR'):\n"
+        "    assert cli.main(['search', '--algo', algo, '--pattern', 'abc', '--text', sys.argv[1]]) == 0\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0", "3", "0", "3"]
+
+
+def test_search_into_a_closed_pipe_exits_0(tmp_path):
+    # `matchbench search ... | head -n 1`: the reader leaves after one line of
+    # about 1.5 MB of positions; the search still found them, so it exits 0
+    path = tmp_path / "zeros.bin"
+    path.write_bytes(bytes(1 << 18))
+    with subprocess.Popen([sys.executable, "-m", "matchbench", "search", "--pattern", r"\x00\x00",
+                           "--text", str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env()) as proc:
+        assert proc.stdout.readline() == b"0\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_search_pattern_file_wins(tmp_path, capsys):

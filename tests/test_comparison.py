@@ -106,6 +106,20 @@ def test_ssef_fuzz():
     )
 
 
+@pytest.mark.parametrize("m", [32, 63, 64, 65, 127, 128, 129, 1024])
+def test_ssef_finds_occurrences_at_both_ends(m):
+    # filter widths 16, 32 and 64 and the m - width + 1 fingerprint table,
+    # with the pattern planted where the first and last sampled blocks see it
+    rng = np.random.default_rng(m)
+    for n in (m, m + 1, 2 * m + 7, 4096):
+        t = bytearray(rand_bytes(rng, 2, n))
+        p = rand_bytes(rng, 2, m)
+        t[:m] = p
+        t[n - m :] = p
+        t = bytes(t)
+        assert searcher("SSEF")(p, t) == brute_force_search(p, t)
+
+
 @pytest.mark.parametrize(
     "algo_id,min_m",
     [
