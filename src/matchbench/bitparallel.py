@@ -6,6 +6,10 @@ W being ``core.W``; carry propagation between words happens inside
 the arbitrary-precision arithmetic, so the per-character cost still
 scales with ceil(m/W).
 
+SBNDM, SBNDMq and FSBNDM are one simplified-BNDM scan: SBNDM is SBNDMq
+at q = 1, and FSBNDM is the same scan over the pattern extended by a
+trailing wildcard.
+
 The ``compile_*`` factories assume the bounds of their registry rows
 (the BNDM family m <= W, FSBNDM m <= W-1 for its lookahead bit, SBNDMq
 m >= q) and are reached through those descriptors, which check them.
@@ -117,52 +121,14 @@ def compile_bndm(p: bytes):
     return run
 
 
-def compile_sbndm(p: bytes):
-    """Simplified BNDM: no prefix bookkeeping; fixed period shift after a
-    full-window survival."""
-    m = len(p)
-    B = backward_masks(p)
-    per = m - kmp_failure(p)[m]
-
-    def run(hay) -> list[int]:
-        n = len(hay)
-        out: list[int] = []
-        pos = 0
-        end = n - m
-        while pos <= end:
-            D = B[hay[pos + m - 1]]
-            if D == 0:
-                pos += m
-                continue
-            j = m - 1
-            while j > 0:
-                j -= 1
-                D = (D << 1) & B[hay[pos + j]]
-                if D == 0:
-                    break
-            # a full-window survivor is the pattern itself, so no
-            # re-verification is needed
-            if D:
-                out.append(pos)
-                pos += per
-            else:
-                pos += j + 1
-        return out
-
-    return run
+SBNDM_GRAM_LENGTHS = (1, 2, 4, 6, 8)
 
 
-SBNDM_GRAM_LENGTHS = (2, 4, 6, 8)
-
-
-def compile_sbndmq(q: int, p: bytes):
-    """SBNDMq: enter each window by AND-ing q shifted masks over the last
-    q characters, then continue the plain backward loop."""
-    if q not in SBNDM_GRAM_LENGTHS:
-        raise ValueError(f"q must be one of {SBNDM_GRAM_LENGTHS}, got {q}")
-    m = len(p)
-    B = backward_masks(p)
-    per = m - kmp_failure(p)[m]
+def _sbndm_scan(B: list[int], m: int, q: int, per: int):
+    """Simplified BNDM over m-bit masks B: enter each window by q - 1
+    unconditional backward steps from its last character, skip it on a
+    dead state, else run the backward loop; a full-window survivor is an
+    occurrence (no re-verification needed) and shifts by ``per``."""
     q_end = m - q
 
     def run(hay) -> list[int]:
@@ -194,38 +160,30 @@ def compile_sbndmq(q: int, p: bytes):
     return run
 
 
+def compile_sbndmq(q: int, p: bytes):
+    """SBNDMq: simplified BNDM entering each window through its last q
+    characters; q = 1 is plain SBNDM."""
+    if q not in SBNDM_GRAM_LENGTHS:
+        raise ValueError(f"q must be one of {SBNDM_GRAM_LENGTHS}, got {q}")
+    m = len(p)
+    return _sbndm_scan(backward_masks(p), m, q, m - kmp_failure(p)[m])
+
+
 def compile_fsbndm(p: bytes):
     """Forward SBNDM: the (m+1)-bit state carries one lookahead character.
 
-    Equivalent to simplified BNDM over the pattern extended by a trailing
-    wildcard, which is why every mask keeps bit 0 set.
+    This is simplified BNDM over the pattern extended by a trailing
+    wildcard, which is why every mask keeps bit 0 set.  It enters with
+    q = 2: the lookahead alone can never kill the state.
     """
     m = len(p)
-    B = [(v << 1) | 1 for v in backward_masks(p)]
-    per = m - kmp_failure(p)[m]
+    scan = _sbndm_scan([(v << 1) | 1 for v in backward_masks(p)], m + 1, 2, m - kmp_failure(p)[m])
 
     def run(hay) -> list[int]:
-        n = len(hay)
-        out: list[int] = []
-        if m > n:
-            return out
-        end = n - m
-        pos = 0
-        while pos < end:
-            D = B[hay[pos + m]]
-            j = m
-            while j > 0:
-                j -= 1
-                D = (D << 1) & B[hay[pos + j]]
-                if D == 0:
-                    break
-            if D:
-                out.append(pos)
-                pos += per
-            else:
-                pos += j + 1
+        out = scan(hay)
         # the last alignment has no lookahead character; check it directly
-        if hay.startswith(p, end):
+        end = len(hay) - m
+        if end >= 0 and hay.startswith(p, end):
             out.append(end)
         return out
 

@@ -130,8 +130,7 @@ def cmd_report(args) -> int:
     try:
         ms = parse_measurements_csv(content)
     except ValueError as exc:
-        print(f"error: {args.infile}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.infile}: {exc}") from exc
     if args.best_map:
         best = render_best_map(ms)
         sys.stdout.write(best.to_csv() if args.format == "csv" else best.to_markdown())

@@ -41,17 +41,14 @@ def _br_table(p: bytes) -> list[int]:
     # of the pair, p[0] as second of the pair, or skipping past both
     m = len(p)
     tbl = [m + 2] * 65536
-    p0 = p[0]
-    for a in range(256):
-        tbl[(a << 8) | p0] = m + 1
+    tbl[p[0] :: 256] = [m + 1] * 256
     for i in range(m - 1):
         idx = (p[i] << 8) | p[i + 1]
         s = m - i
         if s < tbl[idx]:
             tbl[idx] = s
     row = p[m - 1] << 8
-    for b in range(256):
-        tbl[row | b] = 1
+    tbl[row : row + 256] = [1] * 256
     return tbl
 
 
@@ -213,14 +210,6 @@ def compile_fjs(p: bytes):
 HASH_GRAM_LENGTHS = (3, 5, 8)
 
 
-def _gram_hash(seq, start: int, q: int) -> int:
-    # for q <= 8, h <= 255 * (2**q - 1) <= 65025: always a 16-bit table index
-    h = 0
-    for k in range(q):
-        h = (h << 1) + seq[start + k]
-    return h
-
-
 def compile_hashq(q: int, p: bytes):
     """HASHq: shift table keyed on the hash of the window's last q-gram.
 
@@ -231,16 +220,18 @@ def compile_hashq(q: int, p: bytes):
     if q not in HASH_GRAM_LENGTHS:
         raise ValueError(f"q must be one of {HASH_GRAM_LENGTHS}, got {q}")
     m = len(p)
-    default = m - q + 1
-    tbl = [default] * 65536
-    for i in range(q - 1, m - 1):  # q-grams ending before the last position
-        h = _gram_hash(p, i - q + 1, q)
-        s = m - 1 - i
-        if s < tbl[h]:
-            tbl[h] = s
-    h_last = _gram_hash(p, m - q, q)
-    advance = tbl[h_last]
-    tbl[h_last] = 0
+    # a q-gram hashes to sum(c << (q - 1 - k)) <= 255 * (2**q - 1), so a
+    # table of 255 << q entries is indexed without a mask
+    tbl = [m - q + 1] * (255 << q)
+    h = 0
+    for i in range(m):
+        # roll the hash to the q-gram ending at i; shifts shrink as i grows,
+        # so the last write for a hash is its smallest
+        h = (h << 1) + p[i] - (p[i - q] << q if i >= q else 0)
+        if q - 1 <= i < m - 1:
+            tbl[h] = m - 1 - i
+    advance = tbl[h]  # h is now the hash of the last q-gram
+    tbl[h] = 0
 
     def run(hay) -> list[int]:
         n = len(hay)
@@ -250,7 +241,7 @@ def compile_hashq(q: int, p: bytes):
         while pos <= end:
             base = pos + m - q
             h = 0
-            for k in range(q):  # no mask needed: see _gram_hash
+            for k in range(q):  # no mask needed: h < len(tbl)
                 h = (h << 1) + hay[base + k]
             s = tbl[h]
             if s:

@@ -78,7 +78,7 @@ REGISTRY: tuple[AlgorithmDescriptor, ...] = (
     AlgorithmDescriptor("SO", BIT_PARALLEL, 1, None, bitparallel.compile_so),
     AlgorithmDescriptor("SA", BIT_PARALLEL, 1, None, bitparallel.compile_sa),
     AlgorithmDescriptor("BNDM", BIT_PARALLEL, 1, W, bitparallel.compile_bndm),
-    AlgorithmDescriptor("SBNDM", BIT_PARALLEL, 1, W, bitparallel.compile_sbndm),
+    AlgorithmDescriptor("SBNDM", BIT_PARALLEL, 1, W, partial(bitparallel.compile_sbndmq, 1)),
     AlgorithmDescriptor("LBNDM", BIT_PARALLEL, 1, None, bitparallel.compile_lbndm),
     AlgorithmDescriptor("SBNDM-BMH", BIT_PARALLEL, 1, W, bitparallel.compile_sbndm_bmh),
     AlgorithmDescriptor("BMH-SBNDM", BIT_PARALLEL, 1, W, bitparallel.compile_bmh_sbndm),

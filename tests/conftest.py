@@ -73,6 +73,14 @@ class Recorder:
         self.indices.append(i)
         return self.data[i]
 
+    def startswith(self, p, i):
+        # a window check reads left to right through self[i + k], as
+        # InstrumentedText.startswith does
+        for k in range(len(p)):
+            if self[i + k] != p[k]:
+                return False
+        return True
+
 
 def searcher(algo_id: str):
     """The registry's search entry point for one algorithm."""

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from matchbench.bench import (
 )
 from matchbench.core import Text, brute_force_search
 from matchbench.registry import REGISTRY, get_algorithm
+from matchbench.report import render_table
 
 
 def test_generate_rand_text_range_and_determinism():
@@ -160,6 +163,14 @@ def test_run_benchmark_reads_deterministic():
     first = run_benchmark(cfg, [text])
     second = run_benchmark(cfg, [text])
     assert first == second
+
+
+def test_run_benchmark_reads_csv_matches_golden():
+    # reads are exact, so a reads-mode CSV stays byte-identical unless a
+    # searcher is meant to change what it reads
+    cfg = BenchConfig(lengths=(2, 8, 32, 64), patterns_per_length=3, seed=7, metric="reads")
+    csv_text = render_table(run_benchmark(cfg, [generate_rand_text(8, 8192, seed=7)]), "csv")
+    assert csv_text == (Path(__file__).parent / "data" / "golden_reads.csv").read_text()
 
 
 def test_derive_seed_stable():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from matchbench.bench import generate_rand_text, sample_patterns
@@ -21,7 +23,7 @@ from matchbench.registry import (
     select_applicable,
 )
 
-from conftest import fuzz_cases
+from conftest import Recorder, fuzz_cases
 
 FAMILY_BY_ID = {
     # character comparison based
@@ -275,24 +277,27 @@ READS_PER_DESCRIPTOR = {
 }
 
 
+def _pinned_cases(algo) -> list[tuple[bytes, bytes]]:
+    # random cases, then 1 KiB 0^n and (ab)^k texts with an exact and a
+    # near-miss (middle character changed) pattern at each applicable m,
+    # where verification dominates
+    m_hi = algo.m_max if algo.m_max is not None else 4 * W
+    cases = list(fuzz_cases(47, 25, algo.m_min, m_hi, n_max=1024))
+    for t in (bytes(1024), b"ab" * 512):
+        for m in (4, 16, 64, 512):
+            if algo.applicable(m):
+                near = bytearray(t[:m])
+                near[m // 2] ^= 1
+                cases += [(t[:m], t), (bytes(near), t)]
+    return cases
+
+
 def _reads_per_descriptor() -> dict[str, int]:
-    # total InstrumentedText reads per row over random cases, then over
-    # 1 KiB 0^n and (ab)^k texts with an exact and a near-miss (middle
-    # character changed) pattern at each applicable m, where verification
-    # dominates
-    periodic = (bytes(1024), b"ab" * 512)
+    # total InstrumentedText reads per row over _pinned_cases
     totals = {}
     for algo in REGISTRY:
-        m_hi = algo.m_max if algo.m_max is not None else 4 * W
-        cases = list(fuzz_cases(47, 25, algo.m_min, m_hi, n_max=1024))
-        for t in periodic:
-            for m in (4, 16, 64, 512):
-                if algo.applicable(m):
-                    near = bytearray(t[:m])
-                    near[m // 2] ^= 1
-                    cases += [(t[:m], t), (bytes(near), t)]
         reads = 0
-        for p, t in cases:
+        for p, t in _pinned_cases(algo):
             it = InstrumentedText(t)
             algo.search(p, it)
             reads += it.reads
@@ -303,6 +308,38 @@ def _reads_per_descriptor() -> dict[str, int]:
 def test_reads_per_descriptor_are_pinned():
     # the exact cost metric, scan and verification together, of every row
     assert _reads_per_descriptor() == READS_PER_DESCRIPTOR
+
+
+#: first 16 hex digits of the sha256 of the text indices each row reads,
+#: in order, over _pinned_cases (_read_order_digests regenerates them): a
+#: refactor that reorders reads changes these even where the totals of
+#: READS_PER_DESCRIPTOR stay
+READ_ORDER_DIGESTS = {
+    "HOR": "8610f371555a20a9", "QS": "fbe16c049638b278", "BR": "82e64710fb9bb079",
+    "TVSBS": "e14f0f37d068344b", "FJS": "6db7506be02e88f3", "HASH3": "4b218260bca13336",
+    "HASH5": "ff799e03f1ce13e6", "HASH8": "9ccddf2848de306d", "SSEF": "c303dbcaf174398f",
+    "BOM": "dc508a1438abb390", "EBOM": "6ff0b5557d76c548", "SO": "6331f517d60782cc",
+    "SA": "6331f517d60782cc", "BNDM": "b05deb8054538934", "SBNDM": "3eef26917d414981",
+    "LBNDM": "56d762db5fd6b1cd", "SBNDM-BMH": "e4230d9e7fb48296", "BMH-SBNDM": "3db589f2dca2ec52",
+    "FSBNDM": "90f54241371d3e45", "SBNDMq2": "ac58e62ede1b48ee", "SBNDMq4": "d845d75d3f642565",
+    "SBNDMq6": "35be4a386d557ce2", "SBNDMq8": "808625cb7895895b",
+}
+
+
+def _read_order_digests() -> dict[str, str]:
+    digests = {}
+    for algo in REGISTRY:
+        h = hashlib.sha256()
+        for p, t in _pinned_cases(algo):
+            rec = Recorder(t)
+            algo.compile(p)(rec)
+            h.update(repr(rec.indices).encode())
+        digests[algo.id] = h.hexdigest()[:16]
+    return digests
+
+
+def test_read_order_per_descriptor_is_pinned():
+    assert _read_order_digests() == READ_ORDER_DIGESTS
 
 
 def test_precompiled_searcher_shareable_across_threads():
