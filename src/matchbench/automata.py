@@ -88,23 +88,24 @@ def compile_bom(p: bytes):
 
 
 def compile_ebom(p: bytes):
-    """Extended BOM: enters each window through a dense 256x256 table
-    holding the oracle state after the window's last two characters.
+    """Extended BOM: enters each window through a 256x256 table
+    ``ft[c1][c2]`` holding the oracle state after the window's last two
+    characters, c1 then c2.  Only p's characters get a row of their own; all
+    others share one all-``None`` row, which saves memory and keeps the scan
+    on a few rows.
 
     Shifts mirror BOM's exactly (a dead first character still shifts by m),
     so the two-character entry costs at most one extra read per window.
     """
     m = len(p)
     trans = FactorOracle(p[::-1]).transitions
-    init = trans[0]
-    ft: list[int | None] = [None] * 65536
-    for c1, s1 in init.items():
-        row = c1 << 8
+    dead = [None] * 256
+    ft: list[list[int | None]] = [dead] * 256
+    for c1, s1 in trans[0].items():
+        row = dead.copy()
         for c2, s2 in trans[s1].items():
-            ft[row | c2] = s2
-    in_pattern = [False] * 256
-    for c in init:
-        in_pattern[c] = True
+            row[c2] = s2
+        ft[c1] = row
 
     def run(hay) -> list[int]:
         n = len(hay)
@@ -112,10 +113,10 @@ def compile_ebom(p: bytes):
         pos = 0
         end = n - m
         while pos <= end:
-            c1 = hay[pos + m - 1]
-            state = ft[(c1 << 8) | hay[pos + m - 2]]
+            row = ft[hay[pos + m - 1]]
+            state = row[hay[pos + m - 2]]
             if state is None:
-                pos += m - 1 if in_pattern[c1] else m
+                pos += m if row is dead else m - 1
                 continue
             j = m - 3
             while j >= 0:

@@ -35,20 +35,23 @@ def _sunday_table(p: bytes) -> list[int]:
     return tbl
 
 
-def _br_table(p: bytes) -> list[int]:
-    # flat 256x256 shift table addressed by the two characters after the
-    # window; min over: pair occurring inside p, window-final char as first
-    # of the pair, p[0] as second of the pair, or skipping past both
+def _br_table(p: bytes) -> list[list[int]]:
+    # 256x256 shift table addressed tbl[a][b] by the two characters after
+    # the window; min over: pair occurring inside p, window-final char as
+    # first of the pair, p[0] as second of the pair, or skipping past both.
+    # Only p's characters get a row of their own; all others share one
+    # default row. The build costs O(m + 256 * distinct characters of p)
+    # instead of a 65536-entry fill, and the scan keeps to those few rows
     m = len(p)
-    tbl = [m + 2] * 65536
-    tbl[p[0] :: 256] = [m + 1] * 256
+    default = [m + 2] * 256
+    default[p[0]] = m + 1
+    tbl = [default] * 256
+    for a in set(p[:-1]):
+        tbl[a] = default.copy()
     for i in range(m - 1):
-        idx = (p[i] << 8) | p[i + 1]
-        s = m - i
-        if s < tbl[idx]:
-            tbl[idx] = s
-    row = p[m - 1] << 8
-    tbl[row : row + 256] = [1] * 256
+        # shifts shrink as i grows, so the last write for a pair is its min
+        tbl[p[i]][p[i + 1]] = m - i
+    tbl[p[m - 1]] = [1] * 256
     return tbl
 
 
@@ -125,7 +128,7 @@ def compile_br(p: bytes):
             if pos == end:
                 break
             if pos + m + 1 < n:
-                pos += tbl[(hay[pos + m] << 8) | hay[pos + m + 1]]
+                pos += tbl[hay[pos + m]][hay[pos + m + 1]]
             else:
                 # second lookahead character is off the end of the text
                 pos += qs[hay[pos + m]]
@@ -154,7 +157,7 @@ def compile_tvsbs(p: bytes):
             if pos == end:
                 break
             if pos + m + 1 < n:
-                pos += tbl[(hay[pos + m] << 8) | hay[pos + m + 1]]
+                pos += tbl[hay[pos + m]][hay[pos + m + 1]]
             else:
                 pos += qs[hay[pos + m]]
         return out

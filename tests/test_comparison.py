@@ -154,7 +154,38 @@ def test_shift_table_bounds():
         p = rand_bytes(rng, int(rng.choice([1, 2, 256])), m)
         assert all(1 <= s <= m for s in _horspool_table(p))
         assert all(1 <= s <= m + 1 for s in _sunday_table(p))
-        assert all(1 <= s <= m + 2 for s in _br_table(p))
+        assert all(1 <= s <= m + 2 for row in _br_table(p) for s in row)
+
+
+def _flat_br_table(p: bytes) -> list[int]:
+    # reference: the dense 65536-entry table indexed (a << 8) | b
+    m = len(p)
+    tbl = [m + 2] * 65536
+    tbl[p[0] :: 256] = [m + 1] * 256
+    for i in range(m - 1):
+        idx = (p[i] << 8) | p[i + 1]
+        s = m - i
+        if s < tbl[idx]:
+            tbl[idx] = s
+    row = p[m - 1] << 8
+    tbl[row : row + 256] = [1] * 256
+    return tbl
+
+
+def test_br_table_rows_equal_flat_table():
+    # the row-shared table holds the dense table's values, with one row
+    # object per distinct character of p plus the shared default row
+    rng = np.random.default_rng(17)
+    sigmas = (1, 2, 4, 64, 256)
+    cases = [(sigma, m) for sigma in sigmas for m in (1, 2, 3) for _ in range(100)]
+    cases += [(int(rng.choice(sigmas)), int(rng.integers(1, 1101))) for _ in range(2500)]
+    for sigma, m in cases:
+        p = rand_bytes(rng, sigma, m)
+        tbl = _br_table(p)
+        flat = _flat_br_table(p)
+        assert len(tbl) == 256
+        assert all(tbl[a] == flat[a << 8 : (a + 1) << 8] for a in range(256)), p
+        assert len({id(row) for row in tbl}) <= len(set(p)) + 1
 
 
 def test_hor_sublinear_reads_on_rand64(rand64_1mib):
