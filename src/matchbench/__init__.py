@@ -5,75 +5,41 @@ based, factor-oracle based and bit-parallel), a dual-mode benchmark
 harness (wall-clock time / instrumented character reads), result-table
 and best-map reporting, and an alphabet-size x pattern-length selection
 map for picking a searcher automatically.
+
+The public names load lazily (PEP 562): ``import matchbench`` loads no
+submodule, and each name imports its home module on first use, so a
+cold ``search`` never loads the benchmark, report or differential code.
 """
 
-from .automata import FactorOracle, build_factor_oracle
-from .bench import (
-    ALLOWED_SIGMAS,
-    CORPUS_EXPECTATIONS,
-    BenchConfig,
-    Measurement,
-    generate_rand_text,
-    load_corpus,
-    run_benchmark,
-    sample_patterns,
-    sample_positions,
-)
-from .core import (
-    W,
-    ApplicabilityError,
-    InstrumentedText,
-    Pattern,
-    Text,
-    brute_force_search,
-)
-from .differential import DifferentialReport, Mismatch, run_differential
-from .registry import (
-    DEFAULT_SELECTION_MAP,
-    REGISTRY,
-    AlgorithmDescriptor,
-    SelectionMap,
-    applicable_algorithms,
-    classify,
-    get_algorithm,
-    select,
-    select_applicable,
-)
-from .report import parse_measurements_csv, render_best_map, render_table
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALLOWED_SIGMAS",
-    "ApplicabilityError",
-    "AlgorithmDescriptor",
-    "BenchConfig",
-    "CORPUS_EXPECTATIONS",
-    "DEFAULT_SELECTION_MAP",
-    "DifferentialReport",
-    "FactorOracle",
-    "InstrumentedText",
-    "Measurement",
-    "Mismatch",
-    "Pattern",
-    "REGISTRY",
-    "SelectionMap",
-    "Text",
-    "W",
-    "applicable_algorithms",
-    "brute_force_search",
-    "build_factor_oracle",
-    "classify",
-    "generate_rand_text",
-    "get_algorithm",
-    "load_corpus",
-    "parse_measurements_csv",
-    "render_best_map",
-    "render_table",
-    "run_benchmark",
-    "run_differential",
-    "sample_patterns",
-    "sample_positions",
-    "select",
-    "select_applicable",
-]
+# home submodule -> the public names it defines
+_EXPORTS = {
+    "automata": ("FactorOracle", "build_factor_oracle"),
+    "bench": ("BenchConfig", "Measurement", "generate_rand_text", "run_benchmark",
+              "sample_patterns", "sample_positions"),
+    "core": ("ALLOWED_SIGMAS", "CORPUS_EXPECTATIONS", "W", "ApplicabilityError",
+             "InstrumentedText", "Pattern", "Text", "brute_force_search", "load_corpus"),
+    "differential": ("DifferentialReport", "Mismatch", "run_differential"),
+    "registry": ("DEFAULT_SELECTION_MAP", "REGISTRY", "AlgorithmDescriptor", "SelectionMap",
+                 "applicable_algorithms", "classify", "get_algorithm", "select",
+                 "select_applicable"),
+    "report": ("parse_measurements_csv", "render_best_map", "render_table"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

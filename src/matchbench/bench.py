@@ -13,17 +13,15 @@ from __future__ import annotations
 import hashlib
 import statistics
 import time
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
-from .core import InstrumentedText, Pattern, Text
+# the corpus loader and the standard alphabets live in core, which `search`
+# loads without this module; they stay importable from here
+from .core import ALLOWED_SIGMAS, CORPUS_EXPECTATIONS, InstrumentedText, Pattern, Text, load_corpus
 from .registry import REGISTRY, AlgorithmDescriptor
 
 #: Generator name pinned into benchmark output metadata for reproducibility.
 PRNG_NAME = "numpy-pcg64"
-
-ALLOWED_SIGMAS = (2, 4, 8, 16, 32, 64, 128, 256)
 
 DEFAULT_LENGTHS = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -95,44 +93,6 @@ def generate_rand_text(sigma: int, size: int, seed: int, allow_any_sigma: bool =
         raise ValueError("size must be >= 1")
     data = _pcg64(seed).integers(0, sigma, size=size, dtype="uint8").tobytes()
     return Text(data, f"rand{sigma}")
-
-
-#: (length in bytes, approximate distinct characters) of the reference corpora.
-CORPUS_EXPECTATIONS = {
-    "ecoli": (4_638_690, 4),
-    "bible": (4_047_392, 63),
-    "world192": (2_473_400, 94),
-    "hs": (3_295_751, 20),
-}
-
-
-def load_corpus(path, expected_id: str | None = None) -> Text:
-    """Load a corpus file as raw bytes.
-
-    For the known corpus ids the loader checks the advisory length and
-    alphabet expectations; mismatches warn rather than fail, since corpus
-    editions vary.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    text_id = expected_id or path.stem
-    text = Text(data, text_id)
-    expected = CORPUS_EXPECTATIONS.get(text_id)
-    if expected is not None:
-        exp_n, exp_sigma = expected
-        if len(data) != exp_n:
-            warnings.warn(
-                f"corpus {text_id!r}: expected n={exp_n:,} bytes, got {len(data):,}"
-                " (different edition?)",
-                stacklevel=2,
-            )
-        sigma = text.alphabet_size()
-        if abs(sigma - exp_sigma) > 2:
-            warnings.warn(
-                f"corpus {text_id!r}: expected sigma~{exp_sigma}, got {sigma}",
-                stacklevel=2,
-            )
-    return text
 
 
 def sample_positions(text: Text, m: int, count: int, seed: int) -> list[int]:

@@ -3,7 +3,9 @@
 Subcommands: gen (random text files), bench (measurement CSV), report
 (tables / best map from a CSV), search (positions of a pattern in a file,
 grep-style exit codes) and verify (differential check of every algorithm
-against brute force).
+against brute force).  Only core and the registry load at start; each
+subcommand imports the rest of what it runs, so a cold ``search`` loads no
+benchmark, report or differential code.
 """
 
 from __future__ import annotations
@@ -14,18 +16,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import (
-    ALLOWED_SIGMAS,
-    DEFAULT_LENGTHS,
-    PRNG_NAME,
-    BenchConfig,
-    generate_rand_text,
-    load_corpus,
-    run_benchmark,
-)
-from .differential import run_differential
+from .core import ALLOWED_SIGMAS, load_corpus
 from .registry import REGISTRY, get_algorithm, select_applicable
-from .report import parse_measurements_csv, render_best_map, render_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True, help="text file (raw bytes)")
     p.add_argument("--id", help="text id for the report (default: file stem)")
     p.add_argument("--algos", default="all", help="comma-separated ids or 'all'")
-    p.add_argument("--lengths", default=",".join(str(m) for m in DEFAULT_LENGTHS),
-                   help="comma-separated pattern lengths")
+    p.add_argument("--lengths", help="comma-separated pattern lengths")
     p.add_argument("--patterns", type=int, default=400, help="patterns per length")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--metric", choices=("time", "reads"), default="time")
@@ -93,6 +84,8 @@ def parse_pattern_bytes(s: str) -> bytes:
 
 
 def cmd_gen(args) -> int:
+    from .bench import generate_rand_text
+
     text = generate_rand_text(args.sigma, args.size, args.seed,
                               allow_any_sigma=args.allow_any_sigma)
     Path(args.out).write_bytes(text.data)
@@ -101,9 +94,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import DEFAULT_LENGTHS, PRNG_NAME, BenchConfig, run_benchmark
+    from .report import render_table
+
     text = load_corpus(args.text, expected_id=args.id)
     algos = _parse_algos(args.algos)
-    lengths = tuple(sorted({int(x) for x in args.lengths.split(",") if x.strip()}))
+    if args.lengths is None:
+        lengths = DEFAULT_LENGTHS
+    else:
+        lengths = tuple(sorted({int(x) for x in args.lengths.split(",") if x.strip()}))
     cfg = BenchConfig(lengths=lengths, patterns_per_length=args.patterns,
                       seed=args.seed, metric=args.metric)
     ms = run_benchmark(cfg, [text], algos)
@@ -126,6 +125,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .report import parse_measurements_csv, render_best_map, render_table
+
     content = Path(args.infile).read_text()
     try:
         ms = parse_measurements_csv(content)
@@ -169,6 +170,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .differential import run_differential
+
     algos = _parse_algos(args.algos)
     report = run_differential(args.cases, args.seed, algos)
     for algo_id, count in report.cases_per_algorithm.items():

@@ -1,4 +1,4 @@
-"""Core domain types and the reference search oracle.
+"""Core domain types, the corpus loader and the reference search oracle.
 
 Patterns and texts are byte strings: :func:`as_bytes` is the one place
 that decides what counts as one, and every entry point converts through
@@ -13,12 +13,17 @@ which :class:`InstrumentedText` counts as a left-to-right compare.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 
 #: Bit width of the machine word the bit-parallel bounds and the SSEF and
 #: LBNDM table shapes assume; the paper's tables are stated at this width.
 W = 64
+
+#: The standard alphabet sizes of generated random texts.
+ALLOWED_SIGMAS = (2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class ApplicabilityError(ValueError):
@@ -116,13 +121,18 @@ class InstrumentedText:
             yield c
 
     def startswith(self, p: bytes, i: int) -> bool:
-        """``bytes.startswith(p, i)`` for 0 <= i <= n - m, compared left to
-        right through ``self[i + k]``: k + 1 reads on a first mismatch at k,
-        m on a match."""
-        for k in range(len(p)):
-            if self[i + k] != p[k]:
-                return False
-        return True
+        """``bytes.startswith(p, i)`` for 0 <= i <= n - m, counted as a left
+        to right compare: k + 1 reads on a first mismatch at k, m on a match.
+        The compare itself runs in C; only a miss walks to its mismatch."""
+        data = self.data
+        if data.startswith(p, i):
+            self.reads += len(p)
+            return True
+        k = 0
+        while data[i + k] == p[k]:  # a miss in range has a mismatch
+            k += 1
+        self.reads += k + 1
+        return False
 
 
 def as_haystack(text) -> bytes | InstrumentedText:
@@ -161,3 +171,40 @@ def brute_force_search(pattern, text) -> list[int]:
             out.append(i)
     return out
 
+
+#: (length in bytes, approximate distinct characters) of the reference corpora.
+CORPUS_EXPECTATIONS = {
+    "ecoli": (4_638_690, 4),
+    "bible": (4_047_392, 63),
+    "world192": (2_473_400, 94),
+    "hs": (3_295_751, 20),
+}
+
+
+def load_corpus(path, expected_id: str | None = None) -> Text:
+    """Load a corpus file as raw bytes.
+
+    For the known corpus ids the loader checks the advisory length and
+    alphabet expectations; mismatches warn rather than fail, since corpus
+    editions vary.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    text_id = expected_id or path.stem
+    text = Text(data, text_id)
+    expected = CORPUS_EXPECTATIONS.get(text_id)
+    if expected is not None:
+        exp_n, exp_sigma = expected
+        if len(data) != exp_n:
+            warnings.warn(
+                f"corpus {text_id!r}: expected n={exp_n:,} bytes, got {len(data):,}"
+                " (different edition?)",
+                stacklevel=2,
+            )
+        sigma = text.alphabet_size()
+        if abs(sigma - exp_sigma) > 2:
+            warnings.warn(
+                f"corpus {text_id!r}: expected sigma~{exp_sigma}, got {sigma}",
+                stacklevel=2,
+            )
+    return text

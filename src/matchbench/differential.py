@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bench import ALLOWED_SIGMAS, _pcg64, derive_seed
-from .core import brute_force_search
+from .bench import _pcg64, derive_seed
+from .core import ALLOWED_SIGMAS, brute_force_search
 from .registry import REGISTRY, AlgorithmDescriptor
 
 DEFAULT_MAX_N = 4096

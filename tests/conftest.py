@@ -7,11 +7,20 @@ it cross-checks.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from matchbench.core import brute_force_search
 from matchbench.registry import get_algorithm
+
+
+def child_env():
+    """The environment for a child interpreter that imports this checkout's matchbench."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def naive_scan(p: bytes, t: bytes) -> list[int]:
@@ -74,8 +83,8 @@ class Recorder:
         return self.data[i]
 
     def startswith(self, p, i):
-        # a window check reads left to right through self[i + k], as
-        # InstrumentedText.startswith does
+        # a window check reads left to right through self[i + k]: the read
+        # order InstrumentedText.startswith counts
         for k in range(len(p)):
             if self[i + k] != p[k]:
                 return False

@@ -10,6 +10,8 @@ from matchbench.cli import main, parse_pattern_bytes
 from matchbench.core import brute_force_search
 from matchbench.registry import DEFAULT_SELECTION_MAP
 
+from conftest import child_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -86,12 +88,6 @@ def test_unknown_algorithm_exits_2(tmp_path, capsys):
         assert code == 2
         assert "unknown algorithm 'NOPE'" in err
         assert "Traceback" not in err
-
-
-def child_env():
-    """The environment for a child interpreter that imports this checkout's matchbench."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -283,7 +279,8 @@ def test_search_exit_codes(tmp_path, capsys):
 
 def test_search_needs_no_numpy(tmp_path):
     # only gen, bench and verify draw random numbers; a module-level numpy
-    # import anywhere on the search path would fail here
+    # import anywhere on the search path would fail here.  search also loads
+    # none of the bench, report and differential modules.
     path = tmp_path / "t.txt"
     path.write_bytes(b"abcabc")
     code = (
@@ -293,6 +290,8 @@ def test_search_needs_no_numpy(tmp_path):
         "from matchbench import cli\n"
         "for algo in ('auto', 'HOR'):\n"
         "    assert cli.main(['search', '--algo', algo, '--pattern', 'abc', '--text', sys.argv[1]]) == 0\n"
+        "loaded = {'matchbench.bench', 'matchbench.report', 'matchbench.differential'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
                           env=child_env(), timeout=60)

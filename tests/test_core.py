@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from matchbench.core import (
     brute_force_search,
 )
 
-from conftest import count_occurrences, naive_scan, rand_bytes
+from conftest import child_env, count_occurrences, naive_scan, rand_bytes
 
 
 def test_text_invariants():
@@ -142,3 +145,30 @@ def test_instrumented_startswith_contract():
     it = InstrumentedText(b"ab")
     assert it.startswith(b"", 0) and it.startswith(b"", 2)
     assert it.reads == 0
+
+
+def test_package_namespace_is_lazy():
+    # `import matchbench` loads no submodule; each public name loads its home
+    # module on first use and is that module's own object
+    code = """\
+import sys
+import matchbench
+assert not [m for m in sys.modules if m.startswith("matchbench.")]
+assert set(matchbench.__all__) <= set(dir(matchbench))
+for name in matchbench.__all__:
+    value = getattr(matchbench, name)
+    assert value is getattr(sys.modules["matchbench." + matchbench._HOME[name]], name), name
+star = {}
+exec("from matchbench import *", star)
+assert set(matchbench.__all__) <= set(star)
+try:
+    matchbench.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("matchbench.no_such_name resolved")
+assert matchbench.bench.load_corpus is matchbench.core.load_corpus
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
