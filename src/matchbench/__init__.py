@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 # home submodule -> the public names it defines
 _EXPORTS = {
-    "automata": ("FactorOracle", "build_factor_oracle"),
     "bench": ("BenchConfig", "Measurement", "generate_rand_text", "run_benchmark",
               "sample_patterns", "sample_positions"),
     "core": ("ALLOWED_SIGMAS", "CORPUS_EXPECTATIONS", "W", "ApplicabilityError",

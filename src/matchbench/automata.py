@@ -1,66 +1,37 @@
 """Factor-oracle searchers: BOM and its two-character-entry variant EBOM.
 
 Both scan each window right to left through the factor oracle of the
-reversed pattern.  The oracle may accept a few words that are not factors;
-that slack is safe because full-window survival only gates a verification.
+reversed pattern, the transition table ``_factor_oracle(p[::-1])``.  The
+oracle may accept a few words that are not factors; that slack is safe
+because full-window survival only gates a verification.
 """
 
 from __future__ import annotations
 
-from .core import as_needle
 
-
-class FactorOracle:
-    """Factor oracle of a word (Allauzen-Crochemore-Raffinot on-line build).
-
-    States 0..m, at most 2m-1 external transitions.  Accepts at least every
-    factor of the word.
-    """
-
-    __slots__ = ("word", "transitions")
-
-    def __init__(self, word: bytes):
-        m = len(word)
-        trans: list[dict[int, int]] = [dict() for _ in range(m + 1)]
-        supply = [-1] * (m + 1)
-        for i in range(1, m + 1):
-            c = word[i - 1]
-            trans[i - 1][c] = i
-            k = supply[i - 1]
-            while k > -1 and c not in trans[k]:
-                trans[k][c] = i
-                k = supply[k]
-            supply[i] = 0 if k == -1 else trans[k][c]
-        self.word = word
-        self.transitions = trans
-
-    @property
-    def state_count(self) -> int:
-        return len(self.transitions)
-
-    def accepts(self, s: bytes) -> bool:
-        state = 0
-        for c in s:
-            nxt = self.transitions[state].get(c)
-            if nxt is None:
-                return False
-            state = nxt
-        return True
-
-    def external_transition_count(self) -> int:
-        return sum(len(d) for d in self.transitions) - len(self.word)
-
-
-def build_factor_oracle(pattern) -> FactorOracle:
-    """Oracle over the reversed pattern, as used by the backward scan."""
-    return FactorOracle(as_needle(pattern)[::-1])
+def _factor_oracle(word: bytes) -> list[dict[int, int]]:
+    """Transitions of the factor oracle of ``word`` (Allauzen-Crochemore-
+    Raffinot on-line build): states 0..m, at most 2m-1 transitions in all.
+    Accepts at least every factor of the word."""
+    m = len(word)
+    trans: list[dict[int, int]] = [dict() for _ in range(m + 1)]
+    supply = [-1] * (m + 1)
+    for i in range(1, m + 1):
+        c = word[i - 1]
+        trans[i - 1][c] = i
+        k = supply[i - 1]
+        while k > -1 and c not in trans[k]:
+            trans[k][c] = i
+            k = supply[k]
+        supply[i] = 0 if k == -1 else trans[k][c]
+    return trans
 
 
 def compile_bom(p: bytes):
     """Backward Oracle Matching: on transition failure after k consumed
     characters shift by m-k; on full survival verify and shift by 1."""
     m = len(p)
-    trans = FactorOracle(p[::-1]).transitions
+    trans = _factor_oracle(p[::-1])
 
     def run(hay) -> list[int]:
         n = len(hay)
@@ -98,7 +69,7 @@ def compile_ebom(p: bytes):
     so the two-character entry costs at most one extra read per window.
     """
     m = len(p)
-    trans = FactorOracle(p[::-1]).transitions
+    trans = _factor_oracle(p[::-1])
     dead = [None] * 256
     ft: list[list[int | None]] = [dead] * 256
     for c1, s1 in trans[0].items():

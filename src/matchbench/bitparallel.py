@@ -18,7 +18,7 @@ m >= q) and are reached through those descriptors, which check them.
 from __future__ import annotations
 
 from .comparison import _horspool_table, kmp_failure
-from .core import W, as_haystack, as_needle
+from .core import W
 
 
 def forward_masks(p: bytes) -> list[int]:
@@ -31,11 +31,7 @@ def forward_masks(p: bytes) -> list[int]:
 
 def backward_masks(p: bytes) -> list[int]:
     """bit (m-1-i) of table[c] set iff p[i] == c (reversed-pattern convention)."""
-    m = len(p)
-    tbl = [0] * 256
-    for i, c in enumerate(p):
-        tbl[c] |= 1 << (m - 1 - i)
-    return tbl
+    return forward_masks(p[::-1])
 
 
 def compile_so(p: bytes):
@@ -205,63 +201,52 @@ def _superimposed_masks(p: bytes) -> tuple[list[int], int, int]:
     return B, ell, k
 
 
-def _lbndm_scan(B: list[int], ell: int, k: int, m: int, hay):
-    # simplified-BNDM filter over the text subsampled at stride k; a
-    # surviving reduced window at text offset base covers the candidate
-    # starts (base-k, base], yielded as [lo, hi] clipped to the text
-    n = len(hay)
-    if m > n:
-        return
-    hi_start = n - m
-    end_red = (n - 1) // k + 1 - ell
-    r = 0
-    while r <= end_red:
-        D = B[hay[(r + ell - 1) * k]]
-        if D == 0:
-            r += ell
-            continue
-        j = ell - 1
-        while j > 0:
-            j -= 1
-            D = (D << 1) & B[hay[(r + j) * k]]
-            if D == 0:
-                break
-        if D:
-            base = r * k
-            lo = base - k + 1
-            yield (lo if lo > 0 else 0), (base if base <= hi_start else hi_start)
-            r += 1
-        else:
-            r += j + 1
-
-
 def compile_lbndm(p: bytes):
-    """LBNDM: BNDM over the superimposed pattern as a filter for long
-    patterns; every filter hit is verified against the full pattern.
+    """LBNDM: simplified BNDM over the superimposed pattern as a filter for
+    long patterns; every filter hit is verified against the full pattern.
 
-    With m <= W the superimposition factor is 1 and this degenerates to a
-    plain BNDM scan.
+    The filter scans the text subsampled at stride k; a surviving reduced
+    window at text offset base covers the candidate starts (base-k, base],
+    verified in ascending order.  With m <= W the superimposition factor k
+    is 1, but this is still not BNDM: a dead window shifts by j + 1, not to
+    the last recognised prefix, and every survivor is verified, so its
+    reads differ from BNDM's.
     """
     m = len(p)
     B, ell, k = _superimposed_masks(p)
 
     def run(hay) -> list[int]:
+        n = len(hay)
         out: list[int] = []
-        for lo, hi in _lbndm_scan(B, ell, k, m, hay):
-            for i in range(lo, hi + 1):
-                if hay.startswith(p, i):
-                    out.append(i)
+        if m > n:
+            return out
+        hi_start = n - m
+        end_red = (n - 1) // k + 1 - ell
+        r = 0
+        while r <= end_red:
+            D = B[hay[(r + ell - 1) * k]]
+            if D == 0:
+                r += ell
+                continue
+            j = ell - 1
+            while j > 0:
+                j -= 1
+                D = (D << 1) & B[hay[(r + j) * k]]
+                if D == 0:
+                    break
+            if D:
+                base = r * k
+                lo = base - k + 1
+                hi = base if base <= hi_start else hi_start
+                for i in range(lo if lo > 0 else 0, hi + 1):
+                    if hay.startswith(p, i):
+                        out.append(i)
+                r += 1
+            else:
+                r += j + 1
         return out
 
     return run
-
-
-def lbndm_filter_candidates(pattern, text) -> list[tuple[int, int]]:
-    """Candidate start ranges [lo, hi] produced by the superimposition
-    filter, before any verification.  Exposed for soundness checks."""
-    p = as_needle(pattern)
-    B, ell, k = _superimposed_masks(p)
-    return [(lo, hi) for lo, hi in _lbndm_scan(B, ell, k, len(p), as_haystack(text)) if lo <= hi]
 
 
 def compile_sbndm_bmh(p: bytes):

@@ -46,8 +46,9 @@ def format_value(x: float) -> str:
     return s if s not in ("", "-") else "0"
 
 
-def _row_key(ms: Measurement) -> tuple:
-    return (_ALGO_ORDER.get(ms.algorithm, len(_ALGO_ORDER)), ms.algorithm, ms.m)
+def _algo_key(algo: str) -> tuple:
+    """Registry order, with unknown ids last by name."""
+    return (_ALGO_ORDER.get(algo, len(_ALGO_ORDER)), algo)
 
 
 def _check_single(measurements, field: str, what: str) -> None:
@@ -62,7 +63,7 @@ def render_table(measurements, fmt: str = "md") -> str:
     csv: one row per measurement.  md: the algorithm x m matrix with
     per-column ranks and the best cell bold.
     """
-    measurements = sorted(measurements, key=_row_key)
+    measurements = sorted(measurements, key=lambda ms: (_algo_key(ms.algorithm), ms.m))
     _check_single(measurements, "text_id", "texts")
     _check_single(measurements, "metric", "metrics")
     if fmt == "csv":
@@ -99,7 +100,7 @@ def _render_md(measurements) -> str:
     by_algo: dict[str, dict[int, Measurement]] = {}
     for ms in measurements:
         by_algo.setdefault(ms.algorithm, {})[ms.m] = ms
-    rows = sorted(by_algo, key=lambda a: (_ALGO_ORDER.get(a, len(_ALGO_ORDER)), a))
+    rows = sorted(by_algo, key=_algo_key)
 
     # per-column rank by mean value; single best flag per column, ties
     # resolved by row (family) order
@@ -194,11 +195,7 @@ def render_best_map(measurements) -> SelectionMap:
         for mc in M_CLASSES:
             data = per_cell.get((sc, mc))
             if data:
-                winner = min(
-                    data,
-                    key=lambda a: (sum(data[a]) / len(data[a]),
-                                   _ALGO_ORDER.get(a, len(_ALGO_ORDER)), a),
-                )
+                winner = min(data, key=lambda a: (sum(data[a]) / len(data[a]), _algo_key(a)))
                 cells[(sc, mc)] = MapCell(winner, MEASURED)
             else:
                 cells[(sc, mc)] = DEFAULT_SELECTION_MAP.cell(sc, mc)

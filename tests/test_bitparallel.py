@@ -7,9 +7,8 @@ from matchbench.bitparallel import (
     compile_so,
     compile_sbndmq,
     forward_masks,
-    lbndm_filter_candidates,
 )
-from matchbench.core import ApplicabilityError, InstrumentedText, brute_force_search
+from matchbench.core import ApplicabilityError, InstrumentedText
 
 from conftest import Recorder, assert_matches_oracle, fuzz_cases, rand_bytes, search_id, searcher
 
@@ -132,20 +131,13 @@ def test_lbndm_matches_bndm_for_short_patterns():
 
 def test_lbndm_long_fuzz():
     assert_matches_oracle(searcher("LBNDM"), fuzz_cases(40, 500, 65, 1024, n_max=4096))
+    # LBNDM reports a start only after verifying it inside a filter window,
+    # so exact output also shows that the filter missed no occurrence
+    assert_matches_oracle(searcher("LBNDM"), fuzz_cases(41, 200, 65, 400, n_max=2048))
 
 
 def test_lbndm_degenerate_periodic():
     assert searcher("LBNDM")(b"a" * 200, b"a" * 1000) == list(range(801))
-
-
-def test_lbndm_filter_soundness():
-    # every true occurrence lies inside a candidate range emitted by the
-    # filter phase, before verification
-    for p, t in fuzz_cases(41, 200, 65, 400, n_max=2048):
-        expected = brute_force_search(p, t)
-        ranges = lbndm_filter_candidates(p, t)
-        for i in expected:
-            assert any(lo <= i <= hi for lo, hi in ranges), f"occurrence {i} not covered"
 
 
 @pytest.mark.parametrize("algo_id", ["SBNDM-BMH", "BMH-SBNDM"], ids=search_id)
