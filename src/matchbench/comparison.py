@@ -17,15 +17,6 @@ from __future__ import annotations
 from .core import W
 
 
-def _horspool_table(p: bytes) -> list[int]:
-    # shift indexed by the text character under the window's last position
-    m = len(p)
-    tbl = [m] * 256
-    for i in range(m - 1):
-        tbl[p[i]] = m - 1 - i
-    return tbl
-
-
 def _sunday_table(p: bytes) -> list[int]:
     # shift indexed by the text character just past the window
     m = len(p)
@@ -33,6 +24,12 @@ def _sunday_table(p: bytes) -> list[int]:
     for i in range(m):
         tbl[p[i]] = m - i
     return tbl
+
+
+def _horspool_table(p: bytes) -> list[int]:
+    # shift indexed by the text character under the window's last position:
+    # the Sunday shift of p without its last character
+    return _sunday_table(p[:-1])
 
 
 def _br_table(p: bytes) -> list[list[int]]:
@@ -181,6 +178,7 @@ def compile_fjs(p: bytes):
         pos = 0
         j = 0
         while pos <= end:
+            stop = m  # a carried-over prefix is compared to the window's end
             if j == 0:
                 while hay[pos + m - 1] != last:
                     if pos == end:
@@ -188,17 +186,12 @@ def compile_fjs(p: bytes):
                     pos += qs[hay[pos + m]]
                     if pos > end:
                         return out
-                while j < m - 1 and hay[pos + j] == p[j]:
-                    j += 1
-                if j == m - 1:
-                    out.append(pos)
-                    j = m
-            else:
-                # prefix carried over from the previous alignment
-                while j < m and hay[pos + j] == p[j]:
-                    j += 1
-                if j == m:
-                    out.append(pos)
+                stop = m - 1  # the anchored window's last character matched
+            while j < stop and hay[pos + j] == p[j]:
+                j += 1
+            if j == stop:
+                out.append(pos)
+                j = m
             if j == 0:
                 pos += 1
             else:

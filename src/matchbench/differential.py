@@ -107,13 +107,12 @@ def run_differential(cases: int, seed: int, algos=None) -> DifferentialReport:
     per_algo = -(-cases // len(algos))
     report = DifferentialReport()
     for algo in algos:
-        ran = 0
         for i in range(per_algo):
             case_seed = derive_seed(seed, algo.id, i)
             sigma, n, m, kind, pattern, text = _make_case(algo, case_seed)
             expected = brute_force_search(pattern, text)
             got = algo.search(pattern, text)
-            ran += 1
+            report.cases_per_algorithm[algo.id] = i + 1
             if expected != got:
                 report.mismatches.append(Mismatch(
                     algorithm=algo.id,
@@ -126,7 +125,5 @@ def run_differential(cases: int, seed: int, algos=None) -> DifferentialReport:
                     got=tuple(got),
                 ))
                 if len(report.mismatches) >= _STOP_AFTER:
-                    report.cases_per_algorithm[algo.id] = ran
                     return report
-        report.cases_per_algorithm[algo.id] = ran
     return report

@@ -5,7 +5,8 @@ registry order, one column per pattern length, blank ("-") cells exactly
 where applicability excluded the run.  Values are printed to 3 significant
 digits.  In Markdown output every cell carries its within-column rank and
 the per-column best is bold: ranks are a testable stand-in for color
-shading.
+shading.  ``_COLUMNS`` states the measurement CSV schema once, for the
+header, the writer and the parser.
 """
 
 from __future__ import annotations
@@ -26,8 +27,14 @@ from .registry import (
     classify,
 )
 
-CSV_HEADER = ("text_id", "sigma", "family", "algorithm", "m",
-              "mean", "stddev", "mean_occurrences", "metric")
+# (CSV column, Measurement field, type); the type is also the field's parser
+_COLUMNS = (
+    ("text_id", "text_id", str), ("sigma", "sigma", int), ("family", "family", str),
+    ("algorithm", "algorithm", str), ("m", "m", int), ("mean", "mean_value", float),
+    ("stddev", "stddev", float), ("mean_occurrences", "mean_occurrences", float),
+    ("metric", "metric", str),
+)
+CSV_HEADER = tuple(column for column, _, _ in _COLUMNS)
 
 _ALGO_ORDER = {a.id: i for i, a in enumerate(REGISTRY)}
 
@@ -78,17 +85,8 @@ def _render_csv(measurements) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for ms in measurements:
-        writer.writerow([
-            ms.text_id,
-            ms.sigma,
-            ms.family,
-            ms.algorithm,
-            ms.m,
-            format_value(ms.mean_value),
-            format_value(ms.stddev),
-            format_value(ms.mean_occurrences),
-            ms.metric,
-        ])
+        writer.writerow([format_value(getattr(ms, field)) if kind is float else getattr(ms, field)
+                         for _, field, kind in _COLUMNS])
     return buf.getvalue()
 
 
@@ -157,18 +155,8 @@ def parse_measurements_csv(content: str) -> list[Measurement]:
         if len(row) != len(CSV_HEADER):
             raise ValueError(f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         try:
-            out.append(Measurement(
-                text_id=row[0],
-                sigma=int(row[1]),
-                family=row[2],
-                algorithm=row[3],
-                m=int(row[4]),
-                runs=0,
-                mean_value=float(row[5]),
-                stddev=float(row[6]),
-                mean_occurrences=float(row[7]),
-                metric=row[8],
-            ))
+            out.append(Measurement(runs=0, **{field: kind(value)
+                                              for (_, field, kind), value in zip(_COLUMNS, row)}))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not header_seen and content.strip():

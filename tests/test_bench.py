@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from matchbench.bench import (
     sample_patterns,
     sample_positions,
 )
-from matchbench.core import Text, brute_force_search
+from matchbench.core import InstrumentedText, Text, brute_force_search
 from matchbench.registry import REGISTRY, get_algorithm
 from matchbench.report import render_table
 
@@ -155,6 +156,31 @@ def test_run_benchmark_samples_each_text_even_when_ids_repeat():
     ms = run_benchmark(cfg, texts, [get_algorithm("HOR")])
     assert [m.sigma for m in ms] == [2, 256]
     assert all(m.mean_occurrences >= 1 for m in ms)
+
+
+@pytest.mark.parametrize("metric, calls", [
+    ("time", ["compile", bytes, bytes]),  # untimed warm-up, then the timed run
+    ("reads", ["compile", InstrumentedText]),
+])
+def test_measurement_protocol_per_metric(metric, calls):
+    log = []
+    hor = get_algorithm("HOR")
+
+    def compile_(p):
+        log.append("compile")
+        run = hor.compile(p)
+
+        def logged(hay):
+            log.append(type(hay))
+            return run(hay)
+
+        return logged
+
+    algo = dataclasses.replace(hor, compile=compile_)
+    cfg = BenchConfig(lengths=(4,), patterns_per_length=3, seed=1, metric=metric)
+    (ms,) = run_benchmark(cfg, [generate_rand_text(4, 4096, seed=5)], [algo])
+    assert log == calls * 3
+    assert ms.runs == 3 and ms.mean_occurrences >= 1
 
 
 def test_run_benchmark_reads_deterministic():

@@ -155,6 +155,14 @@ def test_shift_table_bounds():
         assert all(1 <= s <= m for s in _horspool_table(p))
         assert all(1 <= s <= m + 1 for s in _sunday_table(p))
         assert all(1 <= s <= m + 2 for row in _br_table(p) for s in row)
+        # the values: distance from the last occurrence of c to the window's
+        # last position (Horspool, p[m - 1] excluded) or just past it (Sunday)
+        hor_tbl, qs_tbl = _horspool_table(p), _sunday_table(p)
+        for c in range(256):
+            hor = [i for i in range(m - 1) if p[i] == c]
+            qs = [i for i in range(m) if p[i] == c]
+            assert hor_tbl[c] == (m - 1 - hor[-1] if hor else m), (p, c)
+            assert qs_tbl[c] == (m - qs[-1] if qs else m + 1), (p, c)
 
 
 def _flat_br_table(p: bytes) -> list[int]:
