@@ -67,6 +67,8 @@ def compile_ebom(p: bytes):
 
     Shifts mirror BOM's exactly (a dead first character still shifts by m),
     so the two-character entry costs at most one extra read per window.
+    The scan indexes each window by its last character, as ``comparison``'s
+    loops do.
     """
     m = len(p)
     trans = _factor_oracle(p[::-1])
@@ -81,27 +83,27 @@ def compile_ebom(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        pos = 0
-        end = n - m
-        while pos <= end:
-            row = ft[hay[pos + m - 1]]
-            state = row[hay[pos + m - 2]]
+        r = m - 1  # the window's last character; it starts at r - m + 1
+        while r < n:
+            row = ft[hay[r]]
+            state = row[hay[r - 1]]
             if state is None:
-                pos += m if row is dead else m - 1
+                r += m if row is dead else m - 1
                 continue
-            j = m - 3
-            while j >= 0:
-                nxt = trans[state].get(hay[pos + j])
+            lo = r - m  # the position before the window
+            i = r - 2
+            while i > lo:
+                nxt = trans[state].get(hay[i])
                 if nxt is None:
                     break
                 state = nxt
-                j -= 1
-            if j >= 0:
-                pos += j + 1
+                i -= 1
+            if i > lo:
+                r = i + m  # the next window starts just past the dead character
             else:
-                if hay.startswith(p, pos):
-                    out.append(pos)
-                pos += 1
+                if hay.startswith(p, lo + 1):
+                    out.append(lo + 1)
+                r += 1
         return out
 
     return run

@@ -10,8 +10,6 @@ deterministic for a fixed seed and therefore bit-reproducible.
 
 from __future__ import annotations
 
-import hashlib
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -67,6 +65,8 @@ class Measurement:
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit sub-seed from the root seed and cell identity."""
+    import hashlib  # here, not at module level: _hashlib loads OpenSSL
+
     h = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
 
@@ -113,6 +113,8 @@ def sample_patterns(text: Text, m: int, count: int, seed: int) -> list[Pattern]:
 
 def _measure_cell(cfg: BenchConfig, text: Text, sigma: int, algo: AlgorithmDescriptor,
                   m: int, patterns: list[Pattern]) -> Measurement:
+    import statistics  # here, not at module level: it loads fractions and decimal
+
     values = []
     occurrences = 0
     if cfg.metric == "time":

@@ -10,6 +10,15 @@ closure over the preprocessed tables, so benchmarks can time the search
 phase alone.  The factories assume the pattern-length bounds of their
 registry rows (HASHq m >= q, SSEF m >= 32) and are reached through those
 descriptors, which check them.
+
+The scan loops keep interpreter work per window low.  A window is indexed
+by its end: ``r`` is its last character (HOR, FJS's skip loop) or the
+first character past it (BR, TVSBS), and the start ``r - m`` (+ 1) is
+computed only when a window is verified.  BR and TVSBS peel the one or two
+windows at the text's end, where the second lookahead character is
+missing, out of the main loop, and HASHq hashes each q-gram through one
+expression per q (``_GRAMS``).  Reads and their order are those of the
+textbook loops.
 """
 
 from __future__ import annotations
@@ -75,13 +84,12 @@ def compile_hor(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        pos = 0
-        end = n - m
-        while pos <= end:
-            c = hay[pos + m - 1]
-            if c == last and hay.startswith(p, pos):
-                out.append(pos)
-            pos += tbl[c]
+        r = m1 = m - 1  # r: the window's last character
+        while r < n:
+            c = hay[r]
+            if c == last and hay.startswith(p, r - m1):
+                out.append(r - m1)
+            r += tbl[c]
         return out
 
     return run
@@ -117,18 +125,19 @@ def compile_br(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        pos = 0
-        end = n - m
-        while pos <= end:
-            if hay.startswith(p, pos):
-                out.append(pos)
-            if pos == end:
+        r = m  # the first character past the window
+        nl = n - 1
+        while r < nl:
+            if hay.startswith(p, r - m):
+                out.append(r - m)
+            r += tbl[hay[r]][hay[r + 1]]
+        while r <= n:
+            # the last windows: one lookahead character (Sunday shift), then none
+            if hay.startswith(p, r - m):
+                out.append(r - m)
+            if r == n:
                 break
-            if pos + m + 1 < n:
-                pos += tbl[hay[pos + m]][hay[pos + m + 1]]
-            else:
-                # second lookahead character is off the end of the text
-                pos += qs[hay[pos + m]]
+            r += qs[hay[r]]
         return out
 
     return run
@@ -142,21 +151,24 @@ def compile_tvsbs(p: bytes):
     first = p[0]
     last = p[m - 1]
     inner = p[1 : m - 1]
+    m1 = m - 1
 
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        pos = 0
-        end = n - m
-        while pos <= end:
-            if hay[pos + m - 1] == last and hay[pos] == first and hay.startswith(inner, pos + 1):
-                out.append(pos)
-            if pos == end:
+        r = m  # the first character past the window
+        nl = n - 1
+        while r < nl:
+            if hay[r - 1] == last and hay[r - m] == first and hay.startswith(inner, r - m1):
+                out.append(r - m)
+            r += tbl[hay[r]][hay[r + 1]]
+        while r <= n:
+            # the last windows: one lookahead character (Sunday shift), then none
+            if hay[r - 1] == last and hay[r - m] == first and hay.startswith(inner, r - m1):
+                out.append(r - m)
+            if r == n:
                 break
-            if pos + m + 1 < n:
-                pos += tbl[hay[pos + m]][hay[pos + m + 1]]
-            else:
-                pos += qs[hay[pos + m]]
+            r += qs[hay[r]]
         return out
 
     return run
@@ -174,36 +186,46 @@ def compile_fjs(p: bytes):
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
-        end = n - m
-        pos = 0
+        nl = n - 1
+        r = m1 = m - 1  # r: the window's last character
         j = 0
-        while pos <= end:
+        while r < n:
             stop = m  # a carried-over prefix is compared to the window's end
             if j == 0:
-                while hay[pos + m - 1] != last:
-                    if pos == end:
-                        return out
-                    pos += qs[hay[pos + m]]
-                    if pos > end:
-                        return out
-                stop = m - 1  # the anchored window's last character matched
+                while r < nl and hay[r] != last:
+                    r += qs[hay[r + 1]]
+                # the text's last window has no lookahead: its last character
+                # is read here, and a mismatch or a window past the end stops
+                if r >= nl and (r > nl or hay[r] != last):
+                    return out
+                stop = m1  # the anchored window's last character matched
+            pos = r - m1
             while j < stop and hay[pos + j] == p[j]:
                 j += 1
             if j == stop:
                 out.append(pos)
                 j = m
             if j == 0:
-                pos += 1
+                r += 1
             else:
                 f = fail[j]
-                pos += j - f
+                r += j - f
                 j = f
         return out
 
     return run
 
 
-HASH_GRAM_LENGTHS = (3, 5, 8)
+#: q-gram hash sum(c << (q - 1 - k)) of hay[b : b + q], one expression per
+#: q whose q reads run left to right, as in the unrolled per-q reference code
+_GRAMS = {
+    3: lambda h, b: (h[b] << 2) + (h[b + 1] << 1) + h[b + 2],
+    5: lambda h, b: (h[b] << 4) + (h[b + 1] << 3) + (h[b + 2] << 2) + (h[b + 3] << 1) + h[b + 4],
+    8: lambda h, b: ((h[b] << 7) + (h[b + 1] << 6) + (h[b + 2] << 5) + (h[b + 3] << 4)
+                     + (h[b + 4] << 3) + (h[b + 5] << 2) + (h[b + 6] << 1) + h[b + 7]),
+}
+
+HASH_GRAM_LENGTHS = tuple(_GRAMS)
 
 
 def compile_hashq(q: int, p: bytes):
@@ -229,23 +251,21 @@ def compile_hashq(q: int, p: bytes):
     advance = tbl[h]  # h is now the hash of the last q-gram
     tbl[h] = 0
 
+    gram = _GRAMS[q]
+    span = m - q
+
     def run(hay) -> list[int]:
-        n = len(hay)
         out: list[int] = []
-        pos = 0
-        end = n - m
-        while pos <= end:
-            base = pos + m - q
-            h = 0
-            for k in range(q):  # no mask needed: h < len(tbl)
-                h = (h << 1) + hay[base + k]
-            s = tbl[h]
+        b = span  # the start of the window's last q-gram
+        hi = len(hay) - q
+        while b <= hi:
+            s = tbl[gram(hay, b)]  # no mask needed: the hash < len(tbl)
             if s:
-                pos += s
+                b += s
             else:
-                if hay.startswith(p, pos):
-                    out.append(pos)
-                pos += advance
+                if hay.startswith(p, b - span):
+                    out.append(b - span)
+                b += advance
         return out
 
     return run

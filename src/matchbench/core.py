@@ -66,10 +66,13 @@ class Text:
 
         Computed in C: one ``translate`` pass deletes the symbols of a 4 KiB
         head, then each byte value the head lacks is looked up in the rest
-        (a ``memchr`` scan).  The worst case, a long rest lacking most byte
-        values, costs about 255 scans, on the order of ``len(set(data))``.
+        (a ``memchr`` scan).  A head that holds all 256 values skips both.
+        The worst case, a long rest lacking most byte values, costs about
+        255 scans, on the order of ``len(set(data))``.
         """
         seen = bytes(set(self.data[:_ALPHABET_HEAD]))
+        if len(seen) == 256:
+            return 256
         rest = self.data.translate(None, seen)
         if not rest:
             return len(seen)

@@ -3,6 +3,8 @@ import pytest
 
 from matchbench.bench import generate_rand_text
 from matchbench.comparison import (
+    HASH_GRAM_LENGTHS,
+    _GRAMS,
     _br_table,
     _horspool_table,
     _sunday_table,
@@ -86,6 +88,28 @@ def test_hashq_reads_only_sampled_grams():
     for k in range(0, len(rec.indices), q):
         gram = rec.indices[k : k + q]
         assert gram == list(range(gram[0], gram[0] + q))
+
+
+def test_hash_grams_match_definition():
+    # each per-q expression is the q-gram hash sum(c << (q - 1 - k)), read
+    # left to right, and stays below the table's 255 << q entries
+    assert HASH_GRAM_LENGTHS == (3, 5, 8)
+    rng = np.random.default_rng(29)
+    for q in HASH_GRAM_LENGTHS:
+        gram = _GRAMS[q]
+        grams = [bytes([255] * q)]
+        for _ in range(300):
+            g = bytearray(rand_bytes(rng, 256, q))
+            g[int(rng.integers(0, q))] = 255
+            grams.append(bytes(g))
+        for g in grams:
+            h = gram(g, 0)
+            assert h == sum(c << (q - 1 - k) for k, c in enumerate(g)), (q, g)
+            assert h < 255 << q
+            b = int(rng.integers(0, 8))
+            rec = Recorder(bytes(b) + g)
+            assert gram(rec, b) == h
+            assert rec.indices == list(range(b, b + q))
 
 
 def test_ssef_degenerate_periodic():

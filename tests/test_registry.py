@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from matchbench.bench import generate_rand_text, sample_patterns
@@ -23,7 +24,7 @@ from matchbench.registry import (
     select_applicable,
 )
 
-from conftest import Recorder, fuzz_cases
+from conftest import Recorder, fuzz_cases, naive_scan, rand_bytes
 
 FAMILY_BY_ID = {
     # character comparison based
@@ -263,6 +264,29 @@ def test_every_descriptor_gates_its_bounds_and_returns_nothing_on_short_texts(w)
                 assert it.reads == (n if algo.id in ("SO", "SA") else 0), (algo.id, m, n)
         algo.compile(b"x" * algo.m_min)
         algo.compile(b"x" * m_hi)
+
+
+def test_text_end_windows():
+    # the last windows of a scan, where a lookahead character or the window
+    # itself meets the text's end: n = m .. m + 3, a pattern planted at 0,
+    # at n - m or at both, and 0^m against 0^n
+    rng = np.random.default_rng(59)
+    for algo in REGISTRY:
+        for m in (1, 2, 4, 8, 31, 32, 33, 63, 64, 65):
+            if not algo.applicable(m):
+                continue
+            for n in range(m, m + 4):
+                p = rand_bytes(rng, 4, m)
+                cases = [(bytes(m), bytes(n))]
+                for starts in ((0,), (n - m,), (0, n - m)):
+                    t = bytearray(rand_bytes(rng, 4, n))
+                    for i in starts:
+                        t[i : i + m] = p
+                    cases.append((p, bytes(t)))
+                for needle, t in cases:
+                    expected = naive_scan(needle, t)
+                    assert algo.search(needle, t) == expected, (algo.id, m, n, needle, t)
+                    assert algo.search(needle, InstrumentedText(t)) == expected, (algo.id, m, n, needle, t)
 
 
 #: reads per row over the case set of _reads_per_descriptor, which
