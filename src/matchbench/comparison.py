@@ -17,8 +17,10 @@ first character past it (BR, TVSBS), and the start ``r - m`` (+ 1) is
 computed only when a window is verified.  BR and TVSBS peel the one or two
 windows at the text's end, where the second lookahead character is
 missing, out of the main loop, and HASHq hashes each q-gram through one
-expression per q (``_GRAMS``).  Reads and their order are those of the
-textbook loops.
+expression per q (``_GRAMS``).  SSEF reads each sampled block one
+character at a time, in ascending order, into a list, and one
+``translate`` turns it into the block's fingerprint.  Reads and their
+order are those of the textbook loops.
 """
 
 from __future__ import annotations
@@ -271,6 +273,11 @@ def compile_hashq(q: int, p: bytes):
     return run
 
 
+def _bit_table(bit: int) -> bytes:
+    # translate table sending each byte value to its bit `bit`, as 0 or 1
+    return (bytes(1 << bit) + b"\1" * (1 << bit)) * (128 >> bit)
+
+
 def _pick_filter_bit(p: bytes) -> int:
     # most informative bit position across the pattern's characters;
     # ties prefer the most significant bit
@@ -278,9 +285,7 @@ def _pick_filter_bit(p: bytes) -> int:
     best_bit = 7
     best_balance = -1
     for bit in range(7, -1, -1):
-        ones = 0
-        for c in p:
-            ones += (c >> bit) & 1
+        ones = p.translate(_bit_table(bit)).count(1)
         balance = min(ones, m - ones)
         if balance > best_balance:
             best_balance = balance
@@ -298,29 +303,31 @@ def _filter_width(m: int) -> int:
     return width
 
 
+def _fingerprint_offsets(bits: bytes, width: int) -> dict[bytes, list[int]]:
+    # in-pattern offsets j, ascending, grouped by the width filter bits
+    # bits[j : j + width] of the pattern's block starting at j
+    fps: dict[bytes, list[int]] = {}
+    for j in range(len(bits) - width + 1):
+        fps.setdefault(bits[j : j + width], []).append(j)
+    return fps
+
+
 def compile_ssef(p: bytes):
     """SSEF-style fingerprint filter for long patterns (m >= 32).
 
-    One filter bit per character of a width-W block; text blocks sampled
-    every m-W+1 positions so any occurrence fully contains one sample.
+    One filter bit per character of a text block ``width`` =
+    ``_filter_width(m)`` characters wide (16, 32 or 64); blocks are sampled
+    every ``m - width + 1`` positions, so any occurrence fully contains one
+    sample.  A block is read one character at a time and turned into its
+    fingerprint, one 0/1 byte per character, by one ``translate``.
     Fingerprint hits map back to the matching in-pattern offsets, and only
     those alignments are verified.
     """
     m = len(p)
     width = _filter_width(m)
     stride = m - width + 1
-    bit = _pick_filter_bit(p)
-    fps: dict[int, list[int]] = {}
-    # slide the width-bit fingerprint one character at a time: O(m), not O(m * width)
-    bits = [(c >> bit) & 1 for c in p]
-    top = width - 1
-    f = 0
-    for k in range(top):
-        f |= bits[k] << k
-    for j in range(m - width + 1):
-        f |= bits[j + top] << top
-        fps.setdefault(f, []).append(j)
-        f >>= 1
+    tab = _bit_table(_pick_filter_bit(p))
+    fps = _fingerprint_offsets(p.translate(tab), width)
 
     def run(hay) -> list[int]:
         n = len(hay)
@@ -329,18 +336,18 @@ def compile_ssef(p: bytes):
             return out
         hi_block = n - width
         hi_start = n - m
+        # the block comprehension makes `hay` a cell variable; the verify
+        # loop calls through a fast local instead
+        startswith = hay.startswith
         s = 0
         while s <= hi_block:
-            f = 0
-            for k in range(width):
-                f |= ((hay[s + k] >> bit) & 1) << k
-            offs = fps.get(f)
+            offs = fps.get(bytes([hay[i] for i in range(s, s + width)]).translate(tab))
             if offs is not None:
                 # consecutive sampled blocks cover disjoint start ranges,
                 # so descending offsets keep the output ascending
                 for j in reversed(offs):
                     i = s - j
-                    if 0 <= i <= hi_start and hay.startswith(p, i):
+                    if 0 <= i <= hi_start and startswith(p, i):
                         out.append(i)
             s += stride
         return out

@@ -5,8 +5,12 @@ from matchbench.bench import generate_rand_text
 from matchbench.comparison import (
     HASH_GRAM_LENGTHS,
     _GRAMS,
+    _bit_table,
     _br_table,
+    _filter_width,
+    _fingerprint_offsets,
     _horspool_table,
+    _pick_filter_bit,
     _sunday_table,
     compile_hashq,
 )
@@ -113,7 +117,83 @@ def test_hash_grams_match_definition():
 
 
 def test_ssef_degenerate_periodic():
+    # every sampled block hits the fingerprint table, with every in-pattern
+    # offset (0^m) or every second one ((ab)^(m/2)): all alignments are
+    # verified and must come out ascending, at block widths 16, 32 and 64
     assert searcher("SSEF")(b"\x00" * 32, b"\x00" * 1024) == list(range(993))
+    for m in (32, 64, 512, 1024):
+        for n in (m, m + 1, 3 * m + 7):
+            assert searcher("SSEF")(b"\x00" * m, b"\x00" * n) == list(range(n - m + 1)), (m, n)
+            assert searcher("SSEF")(b"ab" * (m // 2), (b"ab" * n)[:n]) == list(range(0, n - m + 1, 2)), (m, n)
+
+
+def _loop_filter_bit(p: bytes) -> int:
+    # reference: the bit whose ones and zeros are most balanced over p,
+    # counted one character at a time; ties prefer the most significant bit
+    m = len(p)
+    best_bit, best_balance = 7, -1
+    for bit in range(7, -1, -1):
+        ones = 0
+        for c in p:
+            ones += (c >> bit) & 1
+        if min(ones, m - ones) > best_balance:
+            best_balance, best_bit = min(ones, m - ones), bit
+    return best_bit
+
+
+def _sliding_fingerprints(p: bytes, bit: int, width: int) -> dict[int, list[int]]:
+    # reference: offsets j grouped by the integer whose bit k is the filter
+    # bit of p[j + k], built by sliding one character at a time
+    bits = [(c >> bit) & 1 for c in p]
+    fps: dict[int, list[int]] = {}
+    f = 0
+    for k in range(width - 1):
+        f |= bits[k] << k
+    for j in range(len(p) - width + 1):
+        f |= bits[j + width - 1] << (width - 1)
+        fps.setdefault(f, []).append(j)
+        f >>= 1
+    return fps
+
+
+def test_bit_table_maps_each_byte_to_its_bit():
+    for bit in range(8):
+        assert _bit_table(bit) == bytes((c >> bit) & 1 for c in range(256)), bit
+
+
+def _ssef_patterns(seed: int):
+    # random patterns over sigma in {1, 2, 4, 64, 256}, all-equal patterns,
+    # and patterns over two byte values in equal numbers, whose differing
+    # bits tie exactly
+    rng = np.random.default_rng(seed)
+    for _ in range(2000):
+        sigma = int(rng.choice([1, 2, 4, 64, 256]))
+        yield rand_bytes(rng, sigma, int(rng.integers(32, 1101)))
+    for c in (0, 1, 127, 128, 255):
+        yield bytes([c]) * int(rng.integers(32, 1101))
+    for _ in range(300):
+        a, b = (int(x) for x in rng.integers(0, 256, size=2))
+        m = 2 * int(rng.integers(16, 551))
+        yield bytes(rng.permutation([a] * (m // 2) + [b] * (m // 2)).astype(np.uint8))
+
+
+def test_pick_filter_bit_equals_loop_count():
+    for p in _ssef_patterns(23):
+        assert _pick_filter_bit(p) == _loop_filter_bit(p), p
+
+
+_BINARY_DIGITS = b"01" + bytes(254)  # translate table: 0/1 bytes to digits
+
+
+def test_fingerprint_offsets_group_as_sliding_table():
+    # the 0/1-byte keys group the offsets, in the same order, as the integer
+    # fingerprints do; key byte k is integer bit k
+    for p in _ssef_patterns(24):
+        bit, width = _pick_filter_bit(p), _filter_width(len(p))
+        fps = _fingerprint_offsets(p.translate(_bit_table(bit)), width)
+        as_ints = {int(key[::-1].translate(_BINARY_DIGITS), 2): offs for key, offs in fps.items()}
+        assert all(len(key) == width for key in fps)
+        assert as_ints == _sliding_fingerprints(p, bit, width), p
 
 
 def test_ssef_applicability():
