@@ -3,7 +3,8 @@
 Horspool and Quick-Search shift on one character, Berry-Ravindran and
 TVSBS on the two characters following the window, FJS mixes Quick-Search
 skips with KMP verification, HASHq shifts on hashed q-grams, and SSEF
-filters long patterns through per-block bit fingerprints.
+filters long patterns through the bit fingerprints of 16-character text
+blocks.
 
 Each algorithm comes as a ``compile_*`` factory returning a searcher
 closure over the preprocessed tables, so benchmarks can time the search
@@ -17,15 +18,13 @@ first character past it (BR, TVSBS), and the start ``r - m`` (+ 1) is
 computed only when a window is verified.  BR and TVSBS peel the one or two
 windows at the text's end, where the second lookahead character is
 missing, out of the main loop, and HASHq hashes each q-gram through one
-expression per q (``_GRAMS``).  SSEF reads each sampled block one
-character at a time, in ascending order, into a list, and one
+expression per q (``_GRAMS``).  SSEF reads each sampled 16-character
+block one character at a time, in ascending order, into a list, and one
 ``translate`` turns it into the block's fingerprint.  Reads and their
 order are those of the textbook loops.
 """
 
 from __future__ import annotations
-
-from .core import W
 
 
 def _sunday_table(p: bytes) -> list[int]:
@@ -293,55 +292,48 @@ def _pick_filter_bit(p: bytes) -> int:
     return best_bit
 
 
-def _filter_width(m: int) -> int:
-    # largest power of two <= min(W, m // 2); m >= 32 keeps this >= 16,
-    # so the sampling stride m - width + 1 stays above m/2
-    lim = min(W, m // 2)
-    width = 16
-    while width * 2 <= lim:
-        width *= 2
-    return width
+#: SSEF's text block: 16 characters, one filter bit each, as one 16-byte
+#: SSE register gives a 16-bit fingerprint through one movemask
+_BLOCK = 16
 
 
-def _fingerprint_offsets(bits: bytes, width: int) -> dict[bytes, list[int]]:
-    # in-pattern offsets j, ascending, grouped by the width filter bits
-    # bits[j : j + width] of the pattern's block starting at j
+def _fingerprint_offsets(bits: bytes) -> dict[bytes, list[int]]:
+    # in-pattern offsets j, ascending, grouped by the _BLOCK filter bits
+    # bits[j : j + _BLOCK] of the pattern's block starting at j
     fps: dict[bytes, list[int]] = {}
-    for j in range(len(bits) - width + 1):
-        fps.setdefault(bits[j : j + width], []).append(j)
+    for j in range(len(bits) - _BLOCK + 1):
+        fps.setdefault(bits[j : j + _BLOCK], []).append(j)
     return fps
 
 
 def compile_ssef(p: bytes):
     """SSEF-style fingerprint filter for long patterns (m >= 32).
 
-    One filter bit per character of a text block ``width`` =
-    ``_filter_width(m)`` characters wide (16, 32 or 64); blocks are sampled
-    every ``m - width + 1`` positions, so any occurrence fully contains one
-    sample.  A block is read one character at a time and turned into its
-    fingerprint, one 0/1 byte per character, by one ``translate``.
-    Fingerprint hits map back to the matching in-pattern offsets, and only
-    those alignments are verified.
+    One filter bit per character of a 16-character (``_BLOCK``) text
+    block; blocks are sampled every ``m - 15`` positions, so any occurrence
+    fully contains one sample.  A block is read one character at a time
+    and turned into its fingerprint, one 0/1 byte per character, by one
+    ``translate``.  Fingerprint hits map back to the matching in-pattern
+    offsets, and only those alignments are verified.
     """
     m = len(p)
-    width = _filter_width(m)
-    stride = m - width + 1
+    stride = m - _BLOCK + 1
     tab = _bit_table(_pick_filter_bit(p))
-    fps = _fingerprint_offsets(p.translate(tab), width)
+    fps = _fingerprint_offsets(p.translate(tab))
 
     def run(hay) -> list[int]:
         n = len(hay)
         out: list[int] = []
         if m > n:
             return out
-        hi_block = n - width
+        hi_block = n - _BLOCK
         hi_start = n - m
         # the block comprehension makes `hay` a cell variable; the verify
         # loop calls through a fast local instead
         startswith = hay.startswith
         s = 0
         while s <= hi_block:
-            offs = fps.get(bytes([hay[i] for i in range(s, s + width)]).translate(tab))
+            offs = fps.get(bytes([hay[i] for i in range(s, s + _BLOCK)]).translate(tab))
             if offs is not None:
                 # consecutive sampled blocks cover disjoint start ranges,
                 # so descending offsets keep the output ascending

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 
-#: Bit width of the machine word the bit-parallel bounds and the SSEF and
-#: LBNDM table shapes assume; the paper's tables are stated at this width.
+#: Bit width of the machine word the bit-parallel bounds and the LBNDM
+#: table shape assume; the paper's tables are stated at this width.
 W = 64
 
 #: The standard alphabet sizes of generated random texts.

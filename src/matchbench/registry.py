@@ -194,7 +194,7 @@ def select(sigma: int, m: int, selection_map: SelectionMap = DEFAULT_SELECTION_M
 
 # Total (m_min = 1) and, unlike the filters SSEF and HASH3, it reads fewer
 # characters as m grows.  At sigma = 256, m = 64..256 on 1 MiB random text
-# it reads 0.006-0.018 chars per text char where SSEF reads 0.33-0.99.
+# it reads 0.006-0.018 chars per text char where SSEF reads 0.067-0.33.
 _FALLBACK_ID = "HOR"
 
 

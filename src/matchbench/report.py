@@ -15,7 +15,7 @@ import csv
 import io
 import math
 
-from .bench import Measurement
+from .bench import METRICS, Measurement
 from .registry import (
     DEFAULT_SELECTION_MAP,
     M_CLASSES,
@@ -134,12 +134,26 @@ def _render_md(measurements) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_row(ms: Measurement) -> None:
+    # what every row that bench writes satisfies
+    if ms.metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {ms.metric!r}")
+    if not 1 <= ms.sigma <= 256:
+        raise ValueError(f"sigma must be in [1, 256], got {ms.sigma}")
+    if ms.m < 1:
+        raise ValueError(f"m must be >= 1, got {ms.m}")
+    for column, field, kind in _COLUMNS:
+        if kind is float and not 0 <= getattr(ms, field) < math.inf:
+            raise ValueError(f"{column} must be finite and >= 0, got {getattr(ms, field)}")
+
+
 def parse_measurements_csv(content: str) -> list[Measurement]:
     """Inverse of render_table(..., "csv"); blank lines, and '#' lines
     before the header row, are skipped.
 
     After the header a leading '#' is data: a text id may start with it.
-    Parse failures report the 1-based line number.
+    Rows that bench cannot write (see ``_check_row``) are rejected.  Parse
+    failures report the 1-based line number.
     """
     out = []
     reader = csv.reader(io.StringIO(content))
@@ -155,10 +169,12 @@ def parse_measurements_csv(content: str) -> list[Measurement]:
         if len(row) != len(CSV_HEADER):
             raise ValueError(f"line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         try:
-            out.append(Measurement(runs=0, **{field: kind(value)
-                                              for (_, field, kind), value in zip(_COLUMNS, row)}))
+            ms = Measurement(runs=0, **{field: kind(value)
+                                        for (_, field, kind), value in zip(_COLUMNS, row)})
+            _check_row(ms)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        out.append(ms)
     if not header_seen and content.strip():
         raise ValueError("line 1: missing header row")
     return out

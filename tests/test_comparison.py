@@ -7,12 +7,12 @@ from matchbench.comparison import (
     _GRAMS,
     _bit_table,
     _br_table,
-    _filter_width,
     _fingerprint_offsets,
     _horspool_table,
     _pick_filter_bit,
     _sunday_table,
     compile_hashq,
+    compile_ssef,
 )
 from matchbench.core import ApplicabilityError, InstrumentedText, brute_force_search
 
@@ -119,7 +119,7 @@ def test_hash_grams_match_definition():
 def test_ssef_degenerate_periodic():
     # every sampled block hits the fingerprint table, with every in-pattern
     # offset (0^m) or every second one ((ab)^(m/2)): all alignments are
-    # verified and must come out ascending, at block widths 16, 32 and 64
+    # verified and must come out ascending
     assert searcher("SSEF")(b"\x00" * 32, b"\x00" * 1024) == list(range(993))
     for m in (32, 64, 512, 1024):
         for n in (m, m + 1, 3 * m + 7):
@@ -189,11 +189,37 @@ def test_fingerprint_offsets_group_as_sliding_table():
     # the 0/1-byte keys group the offsets, in the same order, as the integer
     # fingerprints do; key byte k is integer bit k
     for p in _ssef_patterns(24):
-        bit, width = _pick_filter_bit(p), _filter_width(len(p))
-        fps = _fingerprint_offsets(p.translate(_bit_table(bit)), width)
+        bit = _pick_filter_bit(p)
+        fps = _fingerprint_offsets(p.translate(_bit_table(bit)))
         as_ints = {int(key[::-1].translate(_BINARY_DIGITS), 2): offs for key, offs in fps.items()}
-        assert all(len(key) == width for key in fps)
-        assert as_ints == _sliding_fingerprints(p, bit, width), p
+        assert all(len(key) == 16 for key in fps)
+        assert as_ints == _sliding_fingerprints(p, bit, 16), p
+
+
+@pytest.mark.parametrize("m", [32, 33, 64, 100, 512, 1024])
+def test_ssef_reads_16_characters_per_sampled_block(m):
+    # no block of the all-zero text matches a fingerprint of the pattern,
+    # whose filter bit alternates: the scan reads exactly the 16 characters
+    # of each sampled block, ascending, with blocks m - 15 apart
+    p = b"\x00\xff" * (m // 2) + b"\x00" * (m % 2)
+    for n in (m, m + 1, 3 * m + 7, 4096):
+        rec = Recorder(bytes(n))
+        assert compile_ssef(p)(rec) == []
+        assert rec.indices == [i for s in range(0, n - 15, m - 15) for i in range(s, s + 16)], (m, n)
+
+
+@pytest.mark.parametrize("sigma", [4, 256])
+def test_ssef_block_cost(sigma):
+    # on random text with patterns drawn independently of it, verification
+    # adds little to the 16 reads of each sampled block
+    n = 1 << 16
+    text = generate_rand_text(sigma, n, seed=sigma)
+    rng = np.random.default_rng(sigma + 1)
+    for m in (64, 128, 256, 1024):
+        it = InstrumentedText(text.data)
+        searcher("SSEF")(rand_bytes(rng, sigma, m), it)
+        blocks = (n - 16) // (m - 15) + 1
+        assert it.reads <= 1.1 * 16 * blocks, (m, it.reads, blocks)
 
 
 def test_ssef_applicability():
@@ -212,8 +238,8 @@ def test_ssef_fuzz():
 
 @pytest.mark.parametrize("m", [32, 63, 64, 65, 127, 128, 129, 1024])
 def test_ssef_finds_occurrences_at_both_ends(m):
-    # filter widths 16, 32 and 64 and the m - width + 1 fingerprint table,
-    # with the pattern planted where the first and last sampled blocks see it
+    # 16-character blocks m - 15 apart and m - 15 in-pattern offsets, with
+    # the pattern planted where the first and last sampled blocks see it
     rng = np.random.default_rng(m)
     for n in (m, m + 1, 2 * m + 7, 4096):
         t = bytearray(rand_bytes(rng, 2, n))

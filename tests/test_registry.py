@@ -294,7 +294,7 @@ def test_text_end_windows():
 READS_PER_DESCRIPTOR = {
     "HOR": 1102612, "QS": 1104235, "BR": 1115456, "TVSBS": 1120542,
     "FJS": 28001, "HASH3": 1205318, "HASH5": 1140596, "HASH8": 960660,
-    "SSEF": 845187, "BOM": 1836806, "EBOM": 1838739, "SO": 30998,
+    "SSEF": 869849, "BOM": 1836806, "EBOM": 1838739, "SO": 30998,
     "SA": 30998, "BNDM": 157932, "SBNDM": 157973, "LBNDM": 1259504,
     "SBNDM-BMH": 157976, "BMH-SBNDM": 219225, "FSBNDM": 78207, "SBNDMq2": 172703,
     "SBNDMq4": 166785, "SBNDMq6": 154308, "SBNDMq8": 185458,
@@ -341,7 +341,7 @@ def test_reads_per_descriptor_are_pinned():
 READ_ORDER_DIGESTS = {
     "HOR": "8610f371555a20a9", "QS": "fbe16c049638b278", "BR": "82e64710fb9bb079",
     "TVSBS": "e14f0f37d068344b", "FJS": "6db7506be02e88f3", "HASH3": "4b218260bca13336",
-    "HASH5": "ff799e03f1ce13e6", "HASH8": "9ccddf2848de306d", "SSEF": "c303dbcaf174398f",
+    "HASH5": "ff799e03f1ce13e6", "HASH8": "9ccddf2848de306d", "SSEF": "86868f31645bb118",
     "BOM": "dc508a1438abb390", "EBOM": "6ff0b5557d76c548", "SO": "6331f517d60782cc",
     "SA": "6331f517d60782cc", "BNDM": "b05deb8054538934", "SBNDM": "3eef26917d414981",
     "LBNDM": "56d762db5fd6b1cd", "SBNDM-BMH": "e4230d9e7fb48296", "BMH-SBNDM": "3db589f2dca2ec52",

@@ -119,6 +119,28 @@ def test_parse_errors_carry_line_numbers():
         parse_measurements_csv(good + "rand2,2\n")
 
 
+@pytest.mark.parametrize("row,error", [
+    ("rand2,2,comparison,HOR,8,nan,0,1,time", "mean"),
+    ("rand2,2,comparison,HOR,8,inf,0,1,time", "mean"),
+    ("rand2,2,comparison,HOR,8,-1,0,1,time", "mean"),
+    ("rand2,2,comparison,HOR,8,5,nan,1,time", "stddev"),
+    ("rand2,2,comparison,HOR,8,5,-0.5,1,time", "stddev"),
+    ("rand2,2,comparison,HOR,8,5,0,inf,time", "mean_occurrences"),
+    ("rand2,2,comparison,HOR,8,5,0,-1,time", "mean_occurrences"),
+    ("rand2,0,comparison,HOR,8,5,0,1,time", "sigma"),
+    ("rand2,257,comparison,HOR,8,5,0,1,time", "sigma"),
+    ("rand2,2,comparison,HOR,0,5,0,1,time", "m must"),
+    ("rand2,2,comparison,HOR,-3,5,0,1,time", "m must"),
+    ("rand2,2,comparison,HOR,8,5,0,1,bytes", "metric"),
+])
+def test_parse_rejects_rows_bench_cannot_write(row, error):
+    # a nan mean would rank best in its column and win a best-map cell, and
+    # m = 0 would render a column "0"
+    good = render_table(GOLDEN_FIXTURE, "csv")
+    with pytest.raises(ValueError, match=f"line 8: {error}"):
+        parse_measurements_csv(good + row + "\n")
+
+
 def test_parse_skips_comments_and_blanks():
     csv_text = "# prng=numpy-pcg64 seed=1\n" + render_table(GOLDEN_FIXTURE, "csv") + "\n"
     assert len(parse_measurements_csv(csv_text)) == 6
