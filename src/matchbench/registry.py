@@ -11,6 +11,12 @@ class, m class) cell; cells without a stated winner carry the best entry
 of the matching result tables and are tagged "derived-fill" so reports
 can tell the two apart.  ``_M_MAX`` and ``_SIGMA_MIN`` are the one
 statement of the class bounds, and ``classify`` returns the cell key.
+
+``select_applicable`` returns a guarded copy of the row it picks: same
+id, family and bounds, but for a periodic needle (``periodic_needle``)
+its ``compile`` hands back FJS's searcher, whose KMP carry-over keeps
+the reads linear where the shift and filter scans read Theta(m)
+characters per text character.  The rows of ``REGISTRY`` stay unguarded.
 """
 
 from __future__ import annotations
@@ -198,15 +204,41 @@ def select(sigma: int, m: int, selection_map: SelectionMap = DEFAULT_SELECTION_M
 _FALLBACK_ID = "HOR"
 
 
+def _periodic_half(u: bytes) -> bool:
+    # if u has a period of at most h // 4, then by Fine-Wilf the first
+    # occurrence of u[:h - h // 4] after 0 is its smallest period
+    h = len(u)
+    d = u.find(u[:h - h // 4], 1)
+    return 0 < d <= h // 4 and u[d:] == u[:-d]
+
+
+def periodic_needle(p: bytes) -> bool:
+    """True when m >= 8 and the first or the last m // 2 characters of p
+    have a period of at most a quarter of their length."""
+    h = len(p) // 2
+    return h >= 4 and (_periodic_half(p[:h]) or _periodic_half(p[-h:]))
+
+
+def _guarded(algo: AlgorithmDescriptor, p: bytes):
+    return _BY_ID["FJS"].compile(p) if periodic_needle(p) else algo.compile(p)
+
+
+# SO, SA and FJS read linearly on every input and need no guard
+_GUARDED = {a.id: AlgorithmDescriptor(a.id, a.family, a.m_min, a.m_max, partial(_guarded, a))
+            for a in REGISTRY if a.id not in ("SO", "SA", "FJS")}
+
+
 def select_applicable(sigma: int, m: int, selection_map: SelectionMap = DEFAULT_SELECTION_MAP) -> AlgorithmDescriptor:
     """Like select(), but guarantees the result is applicable at m.
 
     The map winner can be gated by the word width inside its own cell
     (e.g. the long-pattern cells at m > W); the cell alternates and then
-    HOR, which every m admits, cover those lengths.
+    HOR, which every m admits, cover those lengths.  The result is the
+    pick's guarded row: it keeps the pick's id, but its ``compile`` may
+    hand back FJS's searcher for a periodic needle.
     """
     cell = selection_map.cell(*classify(sigma, m))
     for algo_id in (cell.algorithm, *cell.alternates, _FALLBACK_ID):
         algo = get_algorithm(algo_id)
         if algo.applicable(m):
-            return algo
+            return _GUARDED.get(algo.id, algo)

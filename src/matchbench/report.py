@@ -152,10 +152,11 @@ def parse_measurements_csv(content: str) -> list[Measurement]:
     before the header row, are skipped.
 
     After the header a leading '#' is data: a text id may start with it.
-    Rows that bench cannot write (see ``_check_row``) are rejected.  Parse
-    failures report the 1-based line number.
+    Rows that bench cannot write (see ``_check_row``, or a second row for
+    one text, algorithm, m and metric) are rejected.  Parse failures
+    report the 1-based line number.
     """
-    out = []
+    rows: dict[tuple, Measurement] = {}
     reader = csv.reader(io.StringIO(content))
     header_seen = False
     for lineno, row in enumerate(reader, start=1):
@@ -174,10 +175,12 @@ def parse_measurements_csv(content: str) -> list[Measurement]:
             _check_row(ms)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        out.append(ms)
+        # a row of another metric is no duplicate; rendering refuses the mix
+        if rows.setdefault((ms.text_id, ms.algorithm, ms.m, ms.metric), ms) is not ms:
+            raise ValueError(f"line {lineno}: duplicate row for (text, algorithm, m)")
     if not header_seen and content.strip():
         raise ValueError("line 1: missing header row")
-    return out
+    return list(rows.values())
 
 
 def render_best_map(measurements) -> SelectionMap:

@@ -28,14 +28,13 @@ def naive_scan(p: bytes, t: bytes) -> list[int]:
     return [i for i in range(len(t) - m + 1) if t[i : i + m] == p]
 
 
-def count_occurrences(p: bytes, t: bytes) -> int:
-    # overlapping count via bytes.find
-    count = 0
-    i = t.find(p)
+def find_all(p: bytes, t: bytes) -> list[int]:
+    # overlapping occurrences via bytes.find
+    out, i = [], t.find(p)
     while i != -1:
-        count += 1
+        out.append(i)
         i = t.find(p, i + 1)
-    return count
+    return out
 
 
 def rand_bytes(rng: np.random.Generator, sigma: int, n: int) -> bytes:

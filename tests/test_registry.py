@@ -1,9 +1,12 @@
 import hashlib
+import itertools
+import random
 
 import numpy as np
 import pytest
 
 from matchbench.bench import generate_rand_text, sample_patterns
+from matchbench.comparison import kmp_failure
 from matchbench.core import (
     W,
     ApplicabilityError,
@@ -19,12 +22,14 @@ from matchbench.registry import (
     SIGMA_CLASSES,
     applicable_algorithms,
     classify,
+    _periodic_half,
     get_algorithm,
+    periodic_needle,
     select,
     select_applicable,
 )
 
-from conftest import Recorder, fuzz_cases, naive_scan, rand_bytes
+from conftest import Recorder, find_all, fuzz_cases, naive_scan, rand_bytes
 
 FAMILY_BY_ID = {
     # character comparison based
@@ -171,6 +176,95 @@ def test_select_applicable_is_cell_entry_or_hor():
             assert algo.id in (cell.algorithm, *cell.alternates, "HOR"), (sigma, m, algo.id)
             if get_algorithm(cell.algorithm).applicable(m):
                 assert algo.id == cell.algorithm
+
+
+def _reference_periodic_half(u: bytes) -> bool:
+    # the smallest period of u is h minus its longest proper border
+    h = len(u)
+    return h >= 1 and h - kmp_failure(u)[h] <= h // 4
+
+
+def _periodic_strings():
+    for sigma, n_max in ((2, 12), (3, 8)):
+        for n in range(n_max + 1):
+            yield from map(bytes, itertools.product(range(sigma), repeat=n))
+    # long strings: a random period repeated, then maybe one character changed
+    rng = random.Random(61)
+    for _ in range(1500):
+        n = rng.randint(8, 1024)
+        u = bytearray(rng.randbytes(rng.randint(1, n // 2)).translate(bytes(b % 3 for b in range(256))) * n)[:n]
+        if rng.random() < 0.5:
+            u[rng.randrange(n)] ^= 1
+        yield bytes(u)
+
+
+def test_periodic_needle_matches_the_kmp_period():
+    for u in _periodic_strings():
+        assert _periodic_half(u) == _reference_periodic_half(u), u
+        h = len(u) // 2
+        expected = h >= 4 and (_reference_periodic_half(u[:h]) or _reference_periodic_half(u[-h:]))
+        assert periodic_needle(u) == expected, u
+
+
+def _fibonacci_word(n: int) -> bytes:
+    a, b = b"a", b"ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _atlas_needles(t: bytes, m: int):
+    # a factor, the factor with its first, middle or last character
+    # changed, and a^(m-1)b and ba^(m-1) for t's most frequent character a
+    factor = t[len(t) // 2 : len(t) // 2 + m]
+    yield factor
+    for i in (0, m // 2, m - 1):
+        near = bytearray(factor)
+        near[i] ^= 1
+        yield bytes(near)
+    a = max(sorted(set(t)), key=t.count)
+    yield bytes([a]) * (m - 1) + bytes([a ^ 1])
+    yield bytes([a ^ 1]) + bytes([a]) * (m - 1)
+
+
+def test_auto_reads_stay_linear_on_the_periodic_atlas():
+    # the shift and filter scans read Theta(m) per text character here
+    # (480 at m = 512 on 0^n) unless auto hands periodic needles to FJS
+    n = 8192
+    rng = random.Random(67)
+    texts = (bytes(n), b"ab" * (n // 2), b"aaab" * (n // 4), _fibonacci_word(n),
+             rng.randbytes(n // 2) + bytes(n // 2), rand_bytes(np.random.default_rng(67), 2, n))
+    for t in texts:
+        sigma = len(set(t))
+        for m in (4, 8, 16, 64, 512):
+            algo = select_applicable(sigma, m)
+            for p in _atlas_needles(t, m):
+                run = algo.compile(p)
+                expected = find_all(p, t)
+                assert run(t) == expected, (algo.id, m, p[:16])
+                it = InstrumentedText(t)
+                assert run(it) == expected, (algo.id, m, p[:16])
+                assert it.reads <= 12 * n, (algo.id, m, p[:16], it.reads / n)
+
+
+def test_guard_leaves_the_registry_rows_unguarded():
+    assert all(get_algorithm(a.id) is a for a in REGISTRY)
+    t, p = bytes(1024), bytes(64)
+    auto = select_applicable(1, 64)
+    assert auto.id == "HASH8"
+    for algo, reads in ((get_algorithm("HASH8"), 69192), (get_algorithm("FJS"), 1024), (auto, 1024)):
+        it = InstrumentedText(t)
+        assert algo.compile(p)(it) == list(range(1024 - 64 + 1))
+        assert it.reads == reads, algo.id
+    # a needle that is not periodic keeps the pick's own searcher and reads
+    t = generate_rand_text(4, 4096, seed=71).data
+    p = t[1000:1064]
+    assert not periodic_needle(p)
+    counts = []
+    for algo in (select_applicable(4, 64), get_algorithm("HASH8")):
+        it = InstrumentedText(t)
+        counts.append((algo.id, algo.compile(p)(it), it.reads))
+    assert counts[0] == counts[1]
 
 
 def test_applicable_algorithms():

@@ -141,6 +141,15 @@ def test_parse_rejects_rows_bench_cannot_write(row, error):
         parse_measurements_csv(good + row + "\n")
 
 
+def test_parse_rejects_a_second_row_for_one_cell():
+    # the md table would keep the last row and the best map average both
+    good = (DATA / "golden_measurements.csv").read_text()
+    with pytest.raises(ValueError, match=r"line 8: duplicate row for \(text, algorithm, m\)"):
+        parse_measurements_csv(good + "rand2,2,comparison,HOR,2,1,0,1,time\n")
+    # the same algorithm and m on another text is a different cell
+    assert len(parse_measurements_csv(good + "rand4,4,comparison,HOR,2,1,0,1,time\n")) == 7
+
+
 def test_parse_skips_comments_and_blanks():
     csv_text = "# prng=numpy-pcg64 seed=1\n" + render_table(GOLDEN_FIXTURE, "csv") + "\n"
     assert len(parse_measurements_csv(csv_text)) == 6
