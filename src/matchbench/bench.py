@@ -6,17 +6,19 @@ search phase only (preprocessing and pattern setup stay outside the timed
 region, and every pattern gets one untimed warm-up search first).  "reads"
 counts single-character accesses through InstrumentedText, which is
 deterministic for a fixed seed and therefore bit-reproducible.
+
+Like ``core``'s, the value types here are ``Record``s, not dataclasses, and
+the registry loads only when ``run_benchmark`` needs its rows: loading a
+corpus imports neither ``dataclasses`` nor a searcher.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 # the corpus loader and the standard alphabets live in core, which `search`
 # loads without this module; they stay importable from here
-from .core import ALLOWED_SIGMAS, CORPUS_EXPECTATIONS, InstrumentedText, Pattern, Text, load_corpus
-from .registry import REGISTRY, AlgorithmDescriptor
+from .core import ALLOWED_SIGMAS, CORPUS_EXPECTATIONS, InstrumentedText, Pattern, Record, Text, load_corpus
 
 #: Generator name pinned into benchmark output metadata for reproducibility.
 PRNG_NAME = "numpy-pcg64"
@@ -26,41 +28,35 @@ DEFAULT_LENGTHS = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 METRICS = ("time", "reads")
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    lengths: tuple[int, ...] = DEFAULT_LENGTHS
-    patterns_per_length: int = 400
-    seed: int = 1
-    metric: str = "time"
+class BenchConfig(Record):
+    __slots__ = ("lengths", "patterns_per_length", "seed", "metric")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(self.lengths))
-        if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
+    def __init__(self, lengths: tuple[int, ...] = DEFAULT_LENGTHS, patterns_per_length: int = 400,
+                 seed: int = 1, metric: str = "time"):
+        lengths = tuple(lengths)
+        if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("lengths must be strictly increasing")
-        if not self.lengths:
+        if not lengths:
             raise ValueError("lengths must be non-empty")
-        if self.lengths[0] < 1:
+        if lengths[0] < 1:
             raise ValueError("pattern lengths must be >= 1")
-        if self.patterns_per_length < 1:
+        if patterns_per_length < 1:
             raise ValueError("patterns_per_length must be >= 1")
-        if self.metric not in METRICS:
+        if metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
+        super().__init__(lengths, patterns_per_length, seed, metric)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One benchmark cell: mean over patterns_per_length searches."""
+class Measurement(Record):
+    """One benchmark cell: mean over patterns_per_length searches, in ms or reads."""
 
-    text_id: str
-    sigma: int
-    family: str
-    algorithm: str
-    m: int
-    runs: int
-    mean_value: float  # milliseconds (time) or character reads (reads)
-    stddev: float
-    mean_occurrences: float
-    metric: str
+    __slots__ = ("text_id", "sigma", "family", "algorithm", "m", "runs", "mean_value", "stddev",
+                 "mean_occurrences", "metric")
+
+    def __init__(self, text_id: str, sigma: int, family: str, algorithm: str, m: int, runs: int,
+                 mean_value: float, stddev: float, mean_occurrences: float, metric: str):
+        super().__init__(text_id, sigma, family, algorithm, m, runs, mean_value, stddev,
+                         mean_occurrences, metric)
 
 
 def derive_seed(*parts) -> int:
@@ -135,18 +131,10 @@ def _measure_cell(cfg: BenchConfig, text: Text, sigma: int, algo: AlgorithmDescr
             res = run(it)
             values.append(float(it.reads - before))
             occurrences += len(res)
-    return Measurement(
-        text_id=text.id,
-        sigma=sigma,
-        family=algo.family,
-        algorithm=algo.id,
-        m=m,
-        runs=len(patterns),
-        mean_value=statistics.fmean(values),
-        stddev=statistics.pstdev(values),
-        mean_occurrences=occurrences / len(patterns),
-        metric=cfg.metric,
-    )
+    return Measurement(text_id=text.id, sigma=sigma, family=algo.family, algorithm=algo.id, m=m,
+                       runs=len(patterns), mean_value=statistics.fmean(values),
+                       stddev=statistics.pstdev(values), mean_occurrences=occurrences / len(patterns),
+                       metric=cfg.metric)
 
 
 def run_benchmark(cfg: BenchConfig, texts, algos=None) -> list[Measurement]:
@@ -157,6 +145,8 @@ def run_benchmark(cfg: BenchConfig, texts, algos=None) -> list[Measurement]:
     (text, m) cell.
     """
     if algos is None:
+        from .registry import REGISTRY  # here, not at module level: load_corpus needs no searcher
+
         algos = REGISTRY
     if not texts or not algos:
         raise ValueError("need at least one text and one algorithm")

@@ -8,13 +8,14 @@ counts every single-character read, which is the machine-independent cost
 metric used by the benchmark's "reads" mode.  To keep that accounting
 honest, no searcher in this package ever slices the haystack: text access
 is one character at a time, or one ``startswith(p, i)`` window check,
-which :class:`InstrumentedText` counts as a left-to-right compare.
+which :class:`InstrumentedText` counts as a left-to-right compare.  The
+value types are :class:`Record` classes, not dataclasses: loading a corpus
+imports only this module and ``bench``, and ``dataclasses`` costs more than both.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -46,16 +47,44 @@ _ALPHABET_HEAD = 4096
 _ALL_BYTES = bytes(range(256))
 
 
-@dataclass(frozen=True)
-class Text:
+class Record:
+    """Immutable ``__slots__`` fields set by ``__init__``; eq, hash and repr as a frozen dataclass's."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Text(Record):
     """Immutable haystack of raw byte values with a short label."""
 
-    data: bytes
-    id: str = "text"
+    __slots__ = ("data", "id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", as_bytes(self.data))
-        if not self.id:
+    def __init__(self, data: bytes, id: str = "text"):
+        super().__init__(as_bytes(data), id)
+        if not id:
             raise ValueError("text id must be non-empty")
 
     def __len__(self) -> int:
@@ -80,14 +109,13 @@ class Text:
         return len(seen) + sum(unseen[i : i + 1] in rest for i in range(len(unseen)))
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """Immutable needle; the empty pattern is rejected."""
 
-    data: bytes
+    __slots__ = ("data",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", as_bytes(self.data))
+    def __init__(self, data: bytes):
+        object.__setattr__(self, "data", as_bytes(data))  # directly: as_needle makes one per search
         if len(self.data) == 0:
             raise ValueError("pattern must have length >= 1")
 

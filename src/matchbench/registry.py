@@ -17,6 +17,8 @@ id, family and bounds, but for a periodic needle (``periodic_needle``)
 its ``compile`` hands back FJS's searcher, whose KMP carry-over keeps
 the reads linear where the shift and filter scans read Theta(m)
 characters per text character.  The rows of ``REGISTRY`` stay unguarded.
+``AlgorithmDescriptor`` stays a frozen dataclass: callers derive traced or
+deliberately broken rows with ``dataclasses.replace``, so ``search`` pays its import.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from matchbench.bench import (
     sample_patterns,
     sample_positions,
 )
-from matchbench.core import InstrumentedText, Text, brute_force_search
+from matchbench.core import InstrumentedText, Pattern, Text, brute_force_search
 from matchbench.registry import REGISTRY, get_algorithm
 from matchbench.report import render_table
 
@@ -109,16 +109,56 @@ def test_sampled_position_appears_in_search_result():
 
 
 def test_bench_config_validation():
-    with pytest.raises(ValueError):
-        BenchConfig(lengths=(4, 2))
-    with pytest.raises(ValueError):
-        BenchConfig(lengths=(2, 2))
-    with pytest.raises(ValueError):
-        BenchConfig(lengths=(0, 4))
-    with pytest.raises(ValueError):
-        BenchConfig(patterns_per_length=0)
-    with pytest.raises(ValueError):
-        BenchConfig(metric="cycles")
+    for kwargs, message in [
+        (dict(lengths=(4, 2)), "lengths must be strictly increasing"),
+        (dict(lengths=(2, 2)), "lengths must be strictly increasing"),
+        (dict(lengths=()), "lengths must be non-empty"),
+        (dict(lengths=(0, 4)), "pattern lengths must be >= 1"),
+        (dict(patterns_per_length=0), "patterns_per_length must be >= 1"),
+        (dict(metric="cycles"), r"metric must be one of \('time', 'reads'\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            BenchConfig(**kwargs)
+
+
+MEASUREMENT_FIELDS = dict(text_id="rand4", sigma=4, family="comparison", algorithm="HOR", m=8,
+                          runs=3, mean_value=12.5, stddev=0.5, mean_occurrences=1.0, metric="reads")
+
+
+@pytest.mark.parametrize("positional, keyword, other, shown", [
+    ((b"ab", "t"), dict(data=bytearray(b"ab"), id="t"), Text(b"ab", "u"), "Text(data=b'ab', id='t')"),
+    ((b"ab",), dict(data=memoryview(b"ab")), Pattern(b"ba"), "Pattern(data=b'ab')"),
+    (((2, 8), 3, 5, "reads"), dict(lengths=[2, 8], patterns_per_length=3, seed=5, metric="reads"),
+     BenchConfig(), "BenchConfig(lengths=(2, 8), patterns_per_length=3, seed=5, metric='reads')"),
+    (tuple(MEASUREMENT_FIELDS.values()), MEASUREMENT_FIELDS, Measurement(**{**MEASUREMENT_FIELDS, "m": 9}),
+     "Measurement(text_id='rand4', sigma=4, family='comparison', algorithm='HOR', m=8, runs=3,"
+     " mean_value=12.5, stddev=0.5, mean_occurrences=1.0, metric='reads')"),
+])
+def test_value_types_keep_the_frozen_dataclass_contract(positional, keyword, other, shown):
+    # the value types are immutable records: positional and keyword
+    # construction agree (bytes-like data and a lengths list are converted),
+    # no field can be set or deleted, and eq, hash and repr are what a frozen
+    # dataclass defines
+    cls = type(other)
+    a, b = cls(*positional), cls(**keyword)
+    assert a == b and hash(a) == hash(b)
+    assert a != other and a != positional
+    assert repr(a) == repr(b) == shown
+    for field in keyword:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == b
+
+
+def test_value_types_defaults_and_type_errors():
+    assert Text(b"x") == Text(b"x", "text") != Pattern(b"x")
+    assert BenchConfig() == BenchConfig((2, 4, 8, 16, 32, 64, 128, 256, 512, 1024), 400, 1, "time")
+    with pytest.raises(TypeError):
+        Text("abc")
+    with pytest.raises(TypeError):
+        Measurement(**MEASUREMENT_FIELDS, extra=1)
 
 
 def test_run_benchmark_reads_so_is_one_pass():

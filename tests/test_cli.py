@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from matchbench.cli import main, parse_pattern_bytes
 from matchbench.core import brute_force_search
-from matchbench.registry import DEFAULT_SELECTION_MAP
+from matchbench.registry import DEFAULT_SELECTION_MAP, REGISTRY
 
 from conftest import child_env
 
@@ -297,6 +298,35 @@ def test_search_needs_no_numpy(tmp_path):
                           env=child_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["0", "3", "0", "3"]
+
+
+def test_loading_a_corpus_needs_no_catalogue(tmp_path):
+    # the set-up path of every benchmark run imports core and bench only:
+    # neither the registry, nor a searcher module, nor dataclasses (unless
+    # the interpreter's own start-up loads it); run_benchmark without an
+    # algorithm list still loads the registry and runs every row that applies
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"abracadabra" * 8)
+    code = (
+        "import json, sys\n"
+        "import matchbench\n"
+        "from matchbench.bench import load_corpus\n"
+        "text = load_corpus(sys.argv[1])\n"
+        "catalogue = {'matchbench.registry', 'matchbench.comparison', 'matchbench.automata',\n"
+        "             'matchbench.bitparallel', 'dataclasses'}\n"
+        "print(json.dumps(sorted(catalogue & set(sys.modules))))\n"
+        "from matchbench import bench\n"
+        "cfg = bench.BenchConfig(lengths=(2, 8, 64), patterns_per_length=1, metric='reads')\n"
+        "print(json.dumps(sorted({ms.algorithm for ms in bench.run_benchmark(cfg, [text])})))\n"
+    )
+    bare = subprocess.run([sys.executable, "-c", "import sys; print('dataclasses' in sys.modules)"],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded, ran = map(json.loads, done.stdout.splitlines())
+    assert loaded == (["dataclasses"] if bare.stdout.strip() == "True" else [])
+    assert ran == sorted(a.id for a in REGISTRY if any(a.applicable(m) for m in (2, 8, 64)))
 
 
 def test_search_into_a_closed_pipe_exits_0(tmp_path):
