@@ -20,8 +20,10 @@ windows at the text's end, where the second lookahead character is
 missing, out of the main loop, and HASHq hashes each q-gram through one
 expression per q (``_GRAMS``).  SSEF reads each sampled 16-character
 block one character at a time, in ascending order, into a list, and one
-``translate`` turns it into the block's fingerprint.  Reads and their
-order are those of the textbook loops.
+``translate`` turns it into the block's fingerprint.  From the eighth
+occurrence d = m - fail[m] apart, FJS takes the rest of the run, whose
+characters continue p's period, in blocks compared by ``_match_length``.
+Reads and their order are those of the textbook loops.
 """
 
 from __future__ import annotations
@@ -175,6 +177,31 @@ def compile_tvsbs(p: bytes):
     return run
 
 
+def _match_length(hay, s: bytes, i: int) -> int:
+    """Length of the common prefix of s and the text at i, for i + len(s) <= n.
+
+    Raw bytes compare in C: gallop, then bisect on prefixes of s.  Any other
+    haystack is read left to right through ``hay[i + k]``: k + 1 reads on a
+    first mismatch at k, len(s) on a match."""
+    if type(hay) is not bytes:
+        for k, c in enumerate(s):
+            if hay[i + k] != c:
+                return k
+        return len(s)
+    if hay.startswith(s, i):
+        return len(s)
+    lo, hi = 0, 1  # after the gallop: s[:lo] matches at i, s[:hi] does not
+    while hay.startswith(s[:hi], i):
+        lo, hi = hi, min(2 * hi, len(s))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if hay.startswith(s[:mid], i):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def compile_fjs(p: bytes):
     """FJS hybrid: Quick-Search skips while the window's last character
     mismatches, KMP verification once anchored.  The KMP carry-over keeps
@@ -183,6 +210,10 @@ def compile_fjs(p: bytes):
     qs = _sunday_table(p)
     fail = kmp_failure(p)
     last = p[m - 1]
+    border = fail[m]
+    d = m - border
+    # p's period continued past its end, about 4 KiB (none without a border)
+    ext = p[border:] * (4096 // d + 1) if border else b""
 
     def run(hay) -> list[int]:
         n = len(hay)
@@ -205,7 +236,26 @@ def compile_fjs(p: bytes):
                 j += 1
             if j == stop:
                 out.append(pos)
-                j = m
+                r += d  # the KMP step from j = m: fail[m] = border
+                j = border
+                # short runs cost less in the loop than a call per block
+                if not (ext and len(out) > 7 and out[-8] == pos - 7 * d):
+                    continue
+                e = pos + m  # the first character past the matched window
+                while True:
+                    # only the windows that fit inside the text
+                    block = ext if n - e >= len(ext) else ext[: (n - e) // d * d]
+                    if not block:
+                        return out
+                    k = _match_length(hay, block, e)
+                    out.extend(range(e - m + d, e - m + k + 1, d))
+                    e += k
+                    if k < len(block):
+                        break
+                # the KMP loop's state at the mismatching window, whose
+                # mismatch at e has been read
+                j = border + k % d
+                r = e - j + m1
             if j == 0:
                 r += 1
             else:

@@ -11,8 +11,10 @@ from matchbench.comparison import (
     _horspool_table,
     _pick_filter_bit,
     _sunday_table,
+    compile_fjs,
     compile_hashq,
     compile_ssef,
+    kmp_failure,
 )
 from matchbench.core import ApplicabilityError, InstrumentedText, brute_force_search
 
@@ -58,6 +60,134 @@ def test_fjs_periodic_patterns():
         n = int(rng.integers(len(p), 600))
         t = rand_bytes(rng, 2, n).replace(b"\x00", b"a").replace(b"\x01", b"b")
         assert searcher("FJS")(p, t) == brute_force_search(p, t)
+
+
+def _textbook_fjs(p: bytes):
+    # reference: FJS with one loop turn per window, the occurrences of a
+    # periodic run included
+    m = len(p)
+    qs = _sunday_table(p)
+    fail = kmp_failure(p)
+    last = p[m - 1]
+
+    def run(hay) -> list[int]:
+        n = len(hay)
+        out: list[int] = []
+        nl = n - 1
+        r = m1 = m - 1
+        j = 0
+        while r < n:
+            stop = m
+            if j == 0:
+                while r < nl and hay[r] != last:
+                    r += qs[hay[r + 1]]
+                if r >= nl and (r > nl or hay[r] != last):
+                    return out
+                stop = m1
+            pos = r - m1
+            while j < stop and hay[pos + j] == p[j]:
+                j += 1
+            if j == stop:
+                out.append(pos)
+                j = m
+            if j == 0:
+                r += 1
+            else:
+                f = fail[j]
+                r += j - f
+                j = f
+        return out
+
+    return run
+
+
+def _fjs_needles():
+    # smallest period d in {1, 2, 3, m - 1}: 0^m, (ab)*, (abc)* and a b^(m-2) a,
+    # or d = m when m is below the period
+    for m in (1, 2, 8, 64, 512):
+        yield bytes(m)
+        yield (b"ab" * m)[:m]
+        yield (b"abc" * m)[:m]
+        if m > 2:
+            yield b"a" + b"b" * (m - 2) + b"a"
+
+
+def _period(p: bytes) -> bytes:
+    return p[: len(p) - kmp_failure(p)[-1]]
+
+
+def _mutate(rng, t: bytes, count: int) -> bytes:
+    b = bytearray(t)
+    for _ in range(count):
+        b[int(rng.integers(0, len(b)))] = int(rng.choice(list(b"\0abc")))
+    return bytes(b)
+
+
+def _assert_fjs_as_textbook(p: bytes, t: bytes):
+    got, ref = compile_fjs(p), _textbook_fjs(p)
+    occ = ref(t)
+    assert got(t) == occ, (len(p), len(t))
+    it, it_ref = InstrumentedText(t), InstrumentedText(t)
+    assert got(it) == occ == ref(it_ref)
+    assert it.reads == it_ref.reads, (len(p), len(t))
+    rec, rec_ref = Recorder(t), Recorder(t)
+    got(rec)
+    ref(rec_ref)
+    assert rec.indices == rec_ref.indices, (len(p), len(t))
+
+
+def test_fjs_runs_equal_textbook_loop():
+    # the batched occurrence runs against one loop turn per window: periodic
+    # texts with 0-3 point mutations, runs longer than one 4096-character
+    # block, runs ending at the text's last character in a second block one
+    # window shorter than a full one, and random sigma = 2 text
+    rng = np.random.default_rng(26)
+    for p in _fjs_needles():
+        m, u = len(p), _period(p)
+        d = len(u)
+        for n in (4096 + m + 41, m + d * (2 * (4096 // d) + 8)):
+            for unit in dict.fromkeys((b"\0", b"ab", b"abc", u)):
+                periodic = (unit * (n // len(unit) + 1))[:n]
+                for count in range(4):
+                    _assert_fjs_as_textbook(p, _mutate(rng, periodic, count))
+            _assert_fjs_as_textbook(p, rand_bytes(rng, 2, n).translate(bytes.maketrans(b"\0\1", b"ab")))
+
+
+def test_fjs_run_mismatch_at_every_window_offset():
+    # a run read on in blocks from its eighth occurrence, which ends at e,
+    # then one mutation at each of the d characters the next window compares
+    for p in _fjs_needles():
+        m, u = len(p), _period(p)
+        d = len(u)
+        e = 7 * d + m
+        periodic = u * ((e + d + m) // d + 1)
+        for x in range(e, e + d):
+            # a character of p or one it lacks, in turn
+            c = b"z" if periodic[x] == ord("a") else b"az"[x % 2 : x % 2 + 1]
+            _assert_fjs_as_textbook(p, periodic[:x] + c + periodic[x + 1 :])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 4097])
+def test_match_length_compares_as_the_walk(size):
+    # the bytes branch (gallop, then bisect) finds the same first mismatch
+    # as the counted walk, which reads k + 1 characters on a mismatch at k
+    # and size on a match
+    # imported here, so that the FJS tests above also run on a comparison
+    # module without it
+    from matchbench.comparison import _match_length
+
+    rng = np.random.default_rng(size)
+    s = rand_bytes(rng, 4, size)
+    for k in range(size + 1):
+        i = k % 5
+        t = bytearray(rand_bytes(rng, 4, i) + s + rand_bytes(rng, 4, k % 3))
+        if k < size:
+            t[i + k] ^= 1
+        t = bytes(t)
+        assert _match_length(t, s, i) == k
+        it = InstrumentedText(t)
+        assert _match_length(it, s, i) == k
+        assert it.reads == (k + 1 if k < size else size)
 
 
 def test_hashq_trivial():
